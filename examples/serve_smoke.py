@@ -19,7 +19,11 @@ exactly as an operator would —
    (CI uploads the file as a build artifact);
 6. scrape ``GET /metrics``, check the request counters moved, and run
    the payload through the strict exposition-format validator;
-7. SIGTERM the daemon and require a clean exit status 0.
+7. check that the daemon times each request once: the analyze latency
+   histogram's count and sum match the journal's ``request_finish``
+   events for ``/v1/analyze`` (whose durations are rounded to 6
+   decimals, so the sums agree within 1e-6 per request);
+8. SIGTERM the daemon and require a clean exit status 0.
 
 Any failed check raises, which exits non-zero and fails the job.
 
@@ -199,6 +203,26 @@ def main() -> None:
         problems = validate_exposition(text)
         assert not problems, problems
         print("metrics: ok (exposition format validated)")
+
+        status, body, _headers = request(
+            f"{base}/v1/events?kind=request_finish"
+        )
+        assert status == 200, (status, body)
+        durations = [
+            e["data"]["duration_s"]
+            for e in envelope_of(body, "events")["events"]
+            if e["data"]["endpoint"] == "/v1/analyze"
+        ]
+        samples = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                       if not line.startswith("#"))
+        series = '{endpoint="/v1/analyze"}'
+        hist_count = int(samples["http_request_seconds_count" + series])
+        hist_sum = float(samples["http_request_seconds_sum" + series])
+        assert hist_count == len(durations) > 0, (hist_count, durations)
+        assert abs(hist_sum - sum(durations)) <= 1e-6 * len(durations), \
+            (hist_sum, durations)
+        print(f"one clock: ok ({hist_count} analyze request(s), histogram"
+              f" sum {hist_sum} = journal sum within 1e-6 each)")
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)

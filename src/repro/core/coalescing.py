@@ -17,7 +17,7 @@ from repro.click.interp import ExecutionProfile
 from repro.ml.kmeans import choose_k_by_cutoff
 from repro.nfir.function import Module
 from repro.nic.port import CoalescePack
-from repro.obs.metrics import get_metrics, observe_latency
+from repro.obs import get_metrics, span
 
 #: Largest coalesced access the NIC's DMA engines issue in one command.
 MAX_PACK_BYTES = 64
@@ -95,7 +95,7 @@ class CoalescingAdvisor:
         names, vectors = self.access_vectors(module, profile)
         if len(names) < 2:
             return CoalescingPlan(packs=[], clusters={})
-        with observe_latency("kmeans_fit_latency_seconds"):
+        with span("kmeans_fit"):
             _k, model = choose_k_by_cutoff(
                 vectors, k_max=self.max_clusters, cutoff=CLUSTER_CUTOFF,
                 seed=self.seed,

@@ -25,7 +25,6 @@ import os
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import get_logger, get_metrics, span
-from repro.obs.metrics import DEFAULT_BUCKETS, observe_latency
 
 log = get_logger(__name__)
 
@@ -68,9 +67,7 @@ def parallel_map(
     """
     workers = resolve_workers(workers)
     name = getattr(fn, "__name__", repr(fn))
-    with span("parallel_map", fn=name, jobs=len(jobs)) as sp, \
-            observe_latency("parallel_dispatch_latency_seconds",
-                            buckets=DEFAULT_BUCKETS, fn=name):
+    with span("parallel_map", fn=name, jobs=len(jobs)) as sp:
         get_metrics().counter("parallel_map_jobs").inc(len(jobs))
         if workers <= 1 or len(jobs) <= 1:
             sp.set("mode", "inline")

@@ -58,7 +58,6 @@ from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.nic.port import PortConfig
 from repro.nic.targets import TargetDescription
 from repro.obs import get_logger, get_metrics, span
-from repro.obs.metrics import DEFAULT_BUCKETS, observe_latency
 from repro.workload import characterize, generate_trace
 from repro.workload.spec import WorkloadSpec
 
@@ -417,9 +416,7 @@ class Clara:
             raise NotTrainedError("call Clara.train() before analyze()")
         if isinstance(element, str):
             element = build_element(element)
-        with span("analyze", nf=element.name, workload=spec.name), \
-                observe_latency("analyze_latency_seconds",
-                                buckets=DEFAULT_BUCKETS):
+        with span("analyze", nf=element.name, workload=spec.name):
             get_metrics().counter("analyze_runs").inc()
             with span("prepare") as sp:
                 prepared = prepare_element(element)

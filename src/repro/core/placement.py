@@ -17,7 +17,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.nic.regions import MemoryHierarchy
 from repro.nic.targets import resolve_target
-from repro.obs.metrics import observe_latency
+from repro.obs import span
 
 
 def _default_hierarchy() -> MemoryHierarchy:
@@ -202,12 +202,10 @@ class PlacementAdvisor:
         if not problem.names:
             return PlacementSolution({}, 0.0, "ilp")
         try:
-            with observe_latency("placement_solve_latency_seconds",
-                                 method="ilp"):
+            with span("placement_solve", method="ilp"):
                 return solve_ilp(problem)
         except PlacementError:
-            with observe_latency("placement_solve_latency_seconds",
-                                 method="greedy"):
+            with span("placement_solve", method="greedy"):
                 return solve_greedy(problem)
 
     # -- uniform advisor protocol --------------------------------------

@@ -41,7 +41,7 @@ from repro.nic.compiler import compile_module
 from repro.nic.isa import NICProgram
 from repro.nic.libnfp import api_cost
 from repro.nic.port import PortConfig
-from repro.obs.metrics import get_metrics, observe_latency
+from repro.obs import get_metrics, span
 from repro.synthesis.stats import extract_stats
 
 #: Sequence length cap for block encodings (longer blocks truncate).
@@ -353,7 +353,7 @@ class InstructionPredictor:
         uncached predictions are bit-identical."""
         if self.model is None:
             raise NotTrainedError("predictor is not fitted")
-        with observe_latency("predict_latency_seconds"):
+        with span("predict_model"):
             seqs = [list(seq) for seq in sequences]
             out = np.zeros(len(seqs))
             cache = self._prediction_cache

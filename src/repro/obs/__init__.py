@@ -6,14 +6,15 @@ the reproduction the same visibility over itself:
 
 * :mod:`repro.obs.trace` — nested :func:`span` context managers over
   every pipeline stage, recording wall time, call counts, and
-  arbitrary attributes.  Disabled by default via a no-op tracer, so
-  instrumentation stays permanently in library code at negligible
-  cost; enable with :func:`set_tracer`/:func:`use_tracer`.
+  arbitrary attributes.  Every span is timed, but the default
+  :class:`TimingTracer` keeps no tree, so instrumentation stays in
+  library code; record one with :func:`set_tracer`/:func:`use_tracer`.
 * :mod:`repro.obs.metrics` — a process-local
   :class:`MetricsRegistry` (counters, gauges, histograms) with
   ``to_dict()`` and Prometheus-text export; :func:`get_metrics` is the
   default registry the library updates (artifact-cache hits/misses,
-  training and analysis run counts).
+  training and analysis run counts).  Latency histograms are fed only
+  by finished spans (:data:`~repro.obs.metrics.SPAN_HISTOGRAMS`).
 * :mod:`repro.obs.report` — :class:`RunReport`, the versioned
   JSON-serializable record of one traced invocation (stage timings,
   span attributes, metric snapshot).  The CLI's ``--profile`` and
@@ -77,7 +78,6 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     get_metrics,
-    observe_latency,
     set_metrics,
     track_inflight,
     validate_exposition,
@@ -93,8 +93,8 @@ from repro.obs.reqctx import (
 from repro.obs.sampling import SamplingProfiler
 from repro.obs.slo import SloTracker, get_slo_tracker, set_slo_tracker
 from repro.obs.trace import (
-    NullTracer,
     Span,
+    TimingTracer,
     Tracer,
     current_span_id,
     get_tracer,
@@ -121,13 +121,13 @@ __all__ = [
     "JsonFormatter",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "NullTracer",
     "RUN_REPORT_SCHEMA",
     "RequestContext",
     "RunReport",
     "SamplingProfiler",
     "SloTracker",
     "Span",
+    "TimingTracer",
     "Tracer",
     "chrome_trace_events",
     "compare_runs",
@@ -141,7 +141,6 @@ __all__ = [
     "get_slo_tracker",
     "get_tracer",
     "new_request_id",
-    "observe_latency",
     "run_suite",
     "set_journal",
     "set_metrics",

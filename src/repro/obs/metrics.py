@@ -6,10 +6,11 @@ for :class:`~repro.obs.report.RunReport`) or in the Prometheus text
 exposition format (:meth:`~MetricsRegistry.to_prometheus`, for
 scraping once this grows a service endpoint).
 
-Unlike the tracer there is no disabled variant — updating a counter is
-one dict lookup and an integer add, cheap enough to leave on — but the
-library only touches metrics on coarse events (cache hits, training
-runs, analyses), never per packet or per block.
+Updating a counter is one dict lookup and an integer add, cheap
+enough to leave on, but the library only touches metrics on coarse
+events (cache hits, training runs, analyses), never per packet or per
+block.  Latency histograms have no timer of their own: each sample is
+a finished span's ``duration_s`` (:func:`observe_span`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -26,8 +26,9 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
+    "SPAN_HISTOGRAMS",
     "get_metrics",
-    "observe_latency",
+    "observe_span",
     "set_metrics",
     "track_inflight",
     "validate_exposition",
@@ -112,26 +113,6 @@ class Gauge:
         return self.value
 
 
-class _HistogramTimer:
-    """Context manager observing a wall-clock duration into a
-    histogram on exit (including the exceptional path — a slow failure
-    is still a latency sample)."""
-
-    __slots__ = ("_histogram", "_start_s")
-
-    def __init__(self, histogram: "Histogram") -> None:
-        self._histogram = histogram
-        self._start_s = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start_s = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._histogram.observe(time.perf_counter() - self._start_s)
-        return False
-
-
 class Histogram:
     """Cumulative-bucket histogram of observed values."""
 
@@ -149,11 +130,6 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    def time(self) -> _HistogramTimer:
-        """``with histogram.time(): ...`` records the block's duration
-        in seconds as one observation."""
-        return _HistogramTimer(self)
-
     def to_value(self) -> Dict[str, Any]:
         cumulative: Dict[str, int] = {}
         running = 0
@@ -162,6 +138,15 @@ class Histogram:
             cumulative[f"le_{bound:g}"] = running
         cumulative["le_inf"] = self.count
         return {"count": self.count, "sum": self.sum, "buckets": cumulative}
+
+
+def _sample_value(value: float) -> str:
+    """The shortest text that parses back to exactly ``value`` (integral
+    values without ``.0``), spelling infinities and NaN as the
+    exposition format does."""
+    text = repr(float(value))
+    text = {"inf": "+Inf", "-inf": "-Inf", "nan": "NaN"}.get(text, text)
+    return text[:-2] if text.endswith(".0") else text
 
 
 class MetricsRegistry:
@@ -229,10 +214,10 @@ class MetricsRegistry:
                 lines.append(
                     f"{name}_bucket{_label_str(label_key + inf)} {metric.count}"
                 )
-                lines.append(f"{name}_sum{labels} {metric.sum:g}")
+                lines.append(f"{name}_sum{labels} {_sample_value(metric.sum)}")
                 lines.append(f"{name}_count{labels} {metric.count}")
             else:
-                lines.append(f"{name}{labels} {metric.to_value():g}")
+                lines.append(f"{name}{labels} {_sample_value(metric.to_value())}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
@@ -393,19 +378,24 @@ def track_inflight(name: str, **labels: Any) -> _InflightTracker:
     return _InflightTracker(_registry.gauge(name, **labels))
 
 
-def observe_latency(
-    name: str,
-    buckets: Tuple[float, ...] = LATENCY_BUCKETS,
-    **labels: Any,
-) -> _HistogramTimer:
-    """Time a hot-path call into a latency histogram on the default
-    registry::
+#: span name -> (histogram, buckets, span attributes used as labels):
+#: the only source of latency samples.
+SPAN_HISTOGRAMS: Dict[str, Tuple[str, Tuple[float, ...], Tuple[str, ...]]] = {
+    "http_request": ("http_request_seconds", DEFAULT_BUCKETS, ("endpoint",)),
+    "analyze": ("analyze_latency_seconds", DEFAULT_BUCKETS, ()),
+    "parallel_map": ("parallel_dispatch_latency_seconds", DEFAULT_BUCKETS, ("fn",)),
+    "predict_model": ("predict_latency_seconds", LATENCY_BUCKETS, ()),
+    "placement_solve": ("placement_solve_latency_seconds", LATENCY_BUCKETS, ("method",)),
+    "kmeans_fit": ("kmeans_fit_latency_seconds", LATENCY_BUCKETS, ()),
+}
 
-        with observe_latency("predict_latency_seconds"):
-            model.predict(...)
 
-    The disabled-path cost matches the rest of the metrics layer — one
-    dict lookup plus two ``perf_counter`` reads — so call sites stay
-    instrumented permanently.
-    """
-    return _registry.histogram(name, buckets=buckets, **labels).time()
+def observe_span(span: Any) -> None:
+    """Observe a finished span's ``duration_s`` into the default
+    registry's histogram for its name, if :data:`SPAN_HISTOGRAMS` has
+    one.  Every tracer calls this as each span ends."""
+    entry = SPAN_HISTOGRAMS.get(span.name)
+    if entry is not None:
+        name, buckets, label_keys = entry
+        labels = {key: span.attrs.get(key, "") for key in label_keys}
+        _registry.histogram(name, buckets=buckets, **labels).observe(span.duration_s)

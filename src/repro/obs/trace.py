@@ -8,13 +8,13 @@ Instrumented code opens spans around pipeline stages::
         prepared = prepare_element(element)
         sp.set("n_blocks", len(prepared.blocks))
 
-``span()`` delegates to the *ambient* tracer.  By default that is the
-:class:`NullTracer`, whose spans are a shared no-op singleton — the
-disabled path costs one attribute lookup and an empty ``with`` block,
-so instrumentation can stay on permanently in library code.  The CLI
-(or a test) installs a recording :class:`Tracer` with
-:func:`set_tracer`/:func:`use_tracer`, runs the workload, and reads
-back the span tree and per-stage totals.
+``span()`` delegates to the *ambient* tracer.  Every span is timed,
+and as it ends :func:`~repro.obs.metrics.observe_span` feeds its
+duration to the latency histogram its name maps to.  The default
+:class:`TimingTracer` keeps no tree, so instrumentation stays on
+permanently in library code.  The CLI (or a test) installs a
+recording :class:`Tracer` with :func:`set_tracer`/:func:`use_tracer`,
+runs the workload, and reads back the span tree and per-stage totals.
 
 Tracers are deliberately process-local: :mod:`repro.core.parallel`
 workers run in child processes and report timing through the parent's
@@ -45,13 +45,14 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.metrics import observe_span
 from repro.obs.reqctx import current_request_id
 
 __all__ = [
-    "NullTracer",
     "Span",
+    "TimingTracer",
     "Tracer",
     "current_span_id",
     "get_tracer",
@@ -81,7 +82,7 @@ class Span:
     def __init__(self, name: str, **attrs: Any) -> None:
         self.name = name
         #: unique id assigned when a recording tracer opens the span
-        #: (empty until then); correlates spans with log lines/events.
+        #: (empty otherwise); correlates spans with log lines/events.
         self.span_id: str = ""
         self.start_s: float = 0.0
         self.end_s: Optional[float] = None
@@ -127,7 +128,7 @@ class _SpanContext:
 
     __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: "Tracer", span_: Span) -> None:
+    def __init__(self, tracer: "Tracer | TimingTracer", span_: Span) -> None:
         self._tracer = tracer
         self._span = span_
 
@@ -139,6 +140,7 @@ class _SpanContext:
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
         self._tracer._pop(self._span)
+        observe_span(self._span)
         return False
 
 
@@ -218,42 +220,26 @@ class Tracer:
         self._local.stack = []
 
 
-class _NullSpan:
-    """Shared do-nothing span; also its own context manager."""
+class TimingTracer:
+    """The default tracer: times every span and keeps none of them.
+
+    Its spans get their ``perf_counter`` bounds but no id, wall-clock
+    start, thread id or place in a tree.  It has no state, so however
+    long the process runs it holds no spans.
+    """
 
     __slots__ = ()
-    name = ""
-    span_id = ""
-    attrs: Dict[str, Any] = {}
-    children: List[Span] = []
-    duration_s = 0.0
-    start_ts = 0.0
-    tid = 0
-
-    def set(self, key: str, value: Any) -> "_NullSpan":
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": "", "duration_s": 0.0}
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every ``span()`` is the same no-op object."""
-
     enabled = False
-    roots: List[Span] = []
+    roots: Tuple[Span, ...] = ()
 
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, name: str, **attrs: Any) -> _SpanContext:
+        return _SpanContext(self, Span(name, **attrs))
+
+    def _push(self, span_: Span) -> None:
+        span_.start_s = time.perf_counter()
+
+    def _pop(self, span_: Span) -> None:
+        span_.end_s = time.perf_counter()
 
     def iter_spans(self) -> Iterator[Span]:
         return iter(())
@@ -265,24 +251,24 @@ class NullTracer:
         pass
 
 
-_current: "Tracer | NullTracer" = NullTracer()
+_current: "Tracer | TimingTracer" = TimingTracer()
 
 #: context-local override of the ambient tracer (``None`` = use the
 #: process-global one).  Per-thread/per-context by construction, so a
 #: request handler can record its own isolated span forest while other
 #: threads keep reporting to the global tracer.
-_scoped: contextvars.ContextVar["Tracer | NullTracer | None"] = \
+_scoped: contextvars.ContextVar["Tracer | TimingTracer | None"] = \
     contextvars.ContextVar("repro_scoped_tracer", default=None)
 
 
-def get_tracer() -> "Tracer | NullTracer":
+def get_tracer() -> "Tracer | TimingTracer":
     """The ambient tracer instrumented code reports to (the scoped
     override when one is installed, else the process-global one)."""
     scoped = _scoped.get()
     return _current if scoped is None else scoped
 
 
-def set_tracer(tracer: "Tracer | NullTracer") -> "Tracer | NullTracer":
+def set_tracer(tracer: "Tracer | TimingTracer") -> "Tracer | TimingTracer":
     """Install ``tracer`` as ambient; returns the previous one so
     callers can restore it."""
     global _current
@@ -292,7 +278,7 @@ def set_tracer(tracer: "Tracer | NullTracer") -> "Tracer | NullTracer":
 
 
 @contextmanager
-def use_tracer(tracer: "Tracer | NullTracer") -> Iterator["Tracer | NullTracer"]:
+def use_tracer(tracer: "Tracer | TimingTracer") -> Iterator["Tracer | TimingTracer"]:
     """Scoped :func:`set_tracer`: restores the previous tracer on exit."""
     previous = set_tracer(tracer)
     try:
@@ -303,8 +289,8 @@ def use_tracer(tracer: "Tracer | NullTracer") -> Iterator["Tracer | NullTracer"]
 
 @contextmanager
 def use_scoped_tracer(
-    tracer: "Tracer | NullTracer",
-) -> Iterator["Tracer | NullTracer"]:
+    tracer: "Tracer | TimingTracer",
+) -> Iterator["Tracer | TimingTracer"]:
     """Install ``tracer`` as a *context-local* ambient tracer.
 
     Unlike :func:`use_tracer` this touches only the calling
@@ -330,7 +316,7 @@ def current_span_id() -> str:
     return ""
 
 
-def span(name: str, **attrs: Any):
-    """Open a span on the ambient tracer (no-op when tracing is off)."""
+def span(name: str, **attrs: Any) -> _SpanContext:
+    """Open a timed span on the ambient tracer."""
     scoped = _scoped.get()
     return (_current if scoped is None else scoped).span(name, **attrs)

@@ -196,8 +196,6 @@ class ClaraService:
         with self._target_lock:
             existing = self._claras.get(target)
             if existing is None:
-                import time
-
                 from repro.core.artifacts import TrainConfig
                 from repro.core.pipeline import Clara
 
@@ -206,14 +204,14 @@ class ClaraService:
                     "target %s cold: training a Clara for it (%s)",
                     target, config,
                 )
-                t0 = time.perf_counter()
-                existing = Clara(seed=self.clara.seed, target=target)
-                existing.train(config, cache="auto")
-                self._configure_predictor(existing)
+                with span("target_train", target=target) as sp:
+                    existing = Clara(seed=self.clara.seed, target=target)
+                    existing.train(config, cache="auto")
+                    self._configure_predictor(existing)
                 self._claras[target] = existing
                 get_journal().emit(
                     "target_train", target=target,
-                    duration_s=round(time.perf_counter() - t0, 6),
+                    duration_s=round(sp.duration_s, 6),
                 )
         return existing
 
@@ -343,23 +341,21 @@ class ClaraService:
             return
         with self._colocation_lock:
             if self.clara.colocation is None:
-                import time
-
                 log.info(
                     "colocation ranker cold: training (%d programs,"
                     " %d groups)",
                     self.colocation_programs, self.colocation_groups,
                 )
-                t0 = time.perf_counter()
-                self.clara.train_colocation(
-                    n_programs=self.colocation_programs,
-                    n_groups=self.colocation_groups,
-                )
+                with span("colocation_train") as sp:
+                    self.clara.train_colocation(
+                        n_programs=self.colocation_programs,
+                        n_groups=self.colocation_groups,
+                    )
                 get_journal().emit(
                     "colocation_train",
                     n_programs=self.colocation_programs,
                     n_groups=self.colocation_groups,
-                    duration_s=round(time.perf_counter() - t0, 6),
+                    duration_s=round(sp.duration_s, 6),
                 )
 
     def _build_candidates(

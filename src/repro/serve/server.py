@@ -23,7 +23,8 @@ subclasses map to their documented ``http_status``.  Per-endpoint
 latency histograms (``http_request_seconds``), request counters
 (``http_requests_total``), and in-flight gauges
 (``http_inflight_requests``) feed the same registry ``/metrics``
-exposes, so the daemon observes itself.
+exposes, so the daemon observes itself.  Each request has one
+duration, its ``http_request`` span's, which all of these read.
 
 Request correlation: every request runs under a
 :class:`~repro.obs.reqctx.RequestContext` whose id comes from the
@@ -42,7 +43,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -60,7 +60,6 @@ from repro.obs import (
     use_scoped_tracer,
 )
 from repro.obs.events import get_journal
-from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.slo import (
     DEFAULT_ERROR_RATE_THRESHOLD,
     DEFAULT_P99_THRESHOLD_S,
@@ -150,7 +149,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, (dump_envelope(env) + "\n").encode("utf-8"))
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # Without a valid length the body's end is unknown, so the
+            # connection cannot carry another request.
+            self.close_connection = True
+            raise ClaraError(
+                "Content-Length must be a non-negative integer,"
+                f" got {declared!r}"
+            )
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ClaraError("empty request body (expected JSON)")
@@ -170,15 +178,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _instrumented(self, endpoint: str, fn,
                       emit_events: bool = True) -> None:
         """Run ``fn() -> (status, envelope)`` under a request context
-        with the endpoint's latency histogram, in-flight gauge, and
-        request counter.
+        with the endpoint's in-flight gauge and request counter.
 
         The request id comes from the client's ``X-Clara-Request-Id``
         header (minted when absent) and scopes everything ``fn`` does:
         a per-request recording tracer (isolated from concurrent
         requests), journal start/finish events, SLO observation, and —
         when the request exceeds the slow threshold — a ``slow_request``
-        journal event carrying the full captured span tree.
+        journal event carrying the full captured span tree.  One
+        ``http_request`` span covers the whole exchange, error envelopes
+        included; its duration is the request's everywhere.
 
         ``emit_events=False`` keeps the request out of the journal
         (metrics and SLO observation still happen) — used for read-only
@@ -194,37 +203,35 @@ class _Handler(BaseHTTPRequestHandler):
         )
         tracer = Tracer()
         status = 500
-        start_s = time.perf_counter()
         with use_request(ctx), use_scoped_tracer(tracer):
             if emit_events:
                 journal.emit("request_start", endpoint=endpoint,
                              method=self.command)
             try:
-                with track_inflight("http_inflight_requests",
-                                    endpoint=endpoint), \
-                        metrics.histogram("http_request_seconds",
-                                          buckets=DEFAULT_BUCKETS,
-                                          endpoint=endpoint).time(), \
-                        span("http_request", endpoint=endpoint):
-                    status, env = fn()
-                    self._send_envelope(status, env)
-            except ClaraError as exc:
-                status = http_status_for(exc)
-                log.info("%s -> %d %s: %s", endpoint, status,
-                         type(exc).__name__, exc)
-                self._send_envelope(status, error_envelope(exc))
-            except BrokenPipeError:  # client went away mid-response
-                status = 499
-                log.debug("%s: client disconnected mid-response",
-                          endpoint)
-                metrics.counter("http_client_disconnects_total",
-                                endpoint=endpoint).inc()
-            except Exception as exc:  # noqa: BLE001 - daemon must not die
-                status = 500
-                log.exception("%s: unhandled error", endpoint)
-                self._send_envelope(status, error_envelope(exc))
+                with span("http_request", endpoint=endpoint) as root, \
+                        track_inflight("http_inflight_requests",
+                                       endpoint=endpoint):
+                    try:
+                        status, env = fn()
+                        self._send_envelope(status, env)
+                    except ClaraError as exc:
+                        status = http_status_for(exc)
+                        log.info("%s -> %d %s: %s", endpoint, status,
+                                 type(exc).__name__, exc)
+                        self._send_envelope(status, error_envelope(exc))
+                    except BrokenPipeError:  # client went away mid-response
+                        status = 499
+                        log.debug("%s: client disconnected mid-response",
+                                  endpoint)
+                        metrics.counter("http_client_disconnects_total",
+                                        endpoint=endpoint).inc()
+                    except Exception as exc:  # noqa: BLE001 - daemon must not die
+                        status = 500
+                        log.exception("%s: unhandled error", endpoint)
+                        self._send_envelope(status, error_envelope(exc))
             finally:
-                duration_s = time.perf_counter() - start_s
+                # The span has ended, so its duration is final.
+                duration_s = root.duration_s
                 metrics.counter("http_requests_total", endpoint=endpoint,
                                 status=str(status)).inc()
                 get_slo_tracker().observe(endpoint, duration_s,

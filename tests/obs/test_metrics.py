@@ -3,11 +3,17 @@
 import pytest
 
 from repro.obs import (
+    LATENCY_BUCKETS,
     MetricsRegistry,
+    Tracer,
     get_metrics,
+    get_tracer,
     set_metrics,
+    span,
+    use_tracer,
     validate_exposition,
 )
+from repro.obs.metrics import DEFAULT_BUCKETS
 
 
 class TestCounters:
@@ -79,6 +85,31 @@ class TestPrometheusExport:
 
     def test_empty_registry(self):
         assert MetricsRegistry().to_prometheus() == ""
+
+    def test_values_print_shortest_round_trip(self):
+        # ``:g`` would print 1.23457e+06, 12345.7 and 0.3 here.
+        reg = MetricsRegistry()
+        reg.counter("big_total").inc(1234567)
+        reg.histogram("dur_seconds", buckets=(1.0,)).observe(12345.69)
+        tiny = reg.histogram("tiny_seconds", buckets=(1.0,))
+        tiny.observe(0.1)
+        tiny.observe(0.2)
+        text = reg.to_prometheus()
+        assert "big_total 1234567\n" in text
+        assert "dur_seconds_sum 12345.69\n" in text
+        assert f"tiny_seconds_sum {tiny.sum!r}\n" in text
+        assert validate_exposition(text) == []
+
+    def test_non_finite_values_spelled_per_spec(self):
+        reg = MetricsRegistry()
+        reg.gauge("up").set(float("inf"))
+        reg.gauge("down").set(float("-inf"))
+        reg.gauge("unknown").set(float("nan"))
+        text = reg.to_prometheus()
+        assert "up +Inf\n" in text
+        assert "down -Inf\n" in text
+        assert "unknown NaN\n" in text
+        assert validate_exposition(text) == []
 
 
 class TestDefaultRegistry:
@@ -193,3 +224,57 @@ class TestValidateExposition:
     def test_help_comments_and_blank_lines_skipped(self):
         good = "# HELP c something\n\n# TYPE c counter\nc 1\n"
         assert validate_exposition(good) == []
+
+
+class TestSpanHistograms:
+    """Latency histograms are fed by span ends alone, under the names,
+    labels and buckets they have always had."""
+
+    #: span name -> (histogram sample key, buckets).
+    EXPECTED = {
+        "http_request": ('http_request_seconds{endpoint="/healthz"}',
+                         DEFAULT_BUCKETS),
+        "analyze": ("analyze_latency_seconds", DEFAULT_BUCKETS),
+        "parallel_map": ('parallel_dispatch_latency_seconds{fn="job"}',
+                         DEFAULT_BUCKETS),
+        "predict_model": ("predict_latency_seconds", LATENCY_BUCKETS),
+        "placement_solve": (
+            'placement_solve_latency_seconds{method="greedy"}',
+            LATENCY_BUCKETS,
+        ),
+        "kmeans_fit": ("kmeans_fit_latency_seconds", LATENCY_BUCKETS),
+    }
+    ATTRS = {"endpoint": "/healthz", "fn": "job", "method": "greedy"}
+
+    @pytest.fixture
+    def reg(self):
+        fresh = MetricsRegistry()
+        previous = set_metrics(fresh)
+        yield fresh
+        set_metrics(previous)
+
+    @pytest.mark.parametrize("recording", [False, True],
+                             ids=["default", "recording"])
+    def test_each_span_observes_its_duration(self, reg, recording):
+        for name, (key, buckets) in self.EXPECTED.items():
+            with use_tracer(Tracer() if recording else get_tracer()):
+                with span(name, **self.ATTRS) as sp:
+                    pass
+            sample = reg.to_dict()[key]
+            assert sample["count"] == 1
+            assert sample["sum"] == sp.duration_s
+            assert list(sample["buckets"]) == (
+                [f"le_{bound:g}" for bound in buckets] + ["le_inf"]
+            )
+
+    def test_failed_span_is_still_a_sample(self, reg):
+        with pytest.raises(ValueError):
+            with span("kmeans_fit") as sp:
+                raise ValueError("no fit")
+        assert reg.to_dict()["kmeans_fit_latency_seconds"]["sum"] == \
+            sp.duration_s
+
+    def test_other_spans_touch_no_metric(self, reg):
+        with span("prepare"):
+            pass
+        assert reg.to_dict() == {}

@@ -1,4 +1,4 @@
-"""Tracer: span nesting, timing, attributes, and the disabled path."""
+"""Tracer: span nesting, timing, attributes, and the default tracer."""
 
 import threading
 import time
@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.trace import NullTracer, _NULL_SPAN
 
 
 class TestSpanNesting:
@@ -79,9 +78,13 @@ class TestSpanTimestamps:
         assert before <= span.start_ts <= after
         assert span.tid == threading.get_ident()
 
-    def test_null_span_has_zero_timestamp(self):
-        assert _NULL_SPAN.start_ts == 0.0
-        assert _NULL_SPAN.tid == 0
+    def test_unrecorded_span_has_zero_timestamp(self):
+        # Only recorded spans are exported, so the default tracer stamps
+        # neither a wall-clock start nor a thread id.
+        with obs.span("s") as sp:
+            pass
+        assert sp.start_ts == 0.0
+        assert sp.tid == 0
 
 
 class TestThreadSafety:
@@ -161,15 +164,32 @@ class TestSpanAttributes:
 
 
 class TestDisabledTracer:
-    def test_default_tracer_is_null(self):
-        assert isinstance(obs.get_tracer(), NullTracer)
+    """The default tracer: recording disabled, timing kept."""
 
-    def test_null_span_is_shared_noop(self):
-        with obs.span("anything", k=1) as sp:
-            assert sp is _NULL_SPAN
-            sp.set("ignored", True)
-        assert list(obs.get_tracer().iter_spans()) == []
-        assert obs.get_tracer().stage_totals() == {}
+    def test_default_tracer_times_spans(self):
+        assert isinstance(obs.get_tracer(), obs.TimingTracer)
+        with obs.span("outer") as outer:
+            with obs.span("inner") as inner:
+                time.sleep(0.01)
+        assert inner.duration_s >= 0.01
+        assert outer.duration_s >= inner.duration_s
+        ended = outer.duration_s
+        time.sleep(0.001)
+        assert outer.duration_s == ended
+
+    def test_default_tracer_keeps_no_tree(self):
+        with obs.span("outer", k=1) as outer:
+            with obs.span("inner") as inner:
+                inner.set("n", 2)
+        assert outer.children == []
+        assert outer.span_id == inner.span_id == ""
+        assert outer.attrs == {"k": 1} and inner.attrs == {"n": 2}
+        tracer = obs.get_tracer()
+        assert tracer.roots == ()
+        assert list(tracer.iter_spans()) == []
+        assert tracer.stage_totals() == {}
+        # No instance state at all: there is nowhere to keep a span.
+        assert not hasattr(tracer, "__dict__")
 
     def test_use_tracer_restores_previous(self):
         before = obs.get_tracer()

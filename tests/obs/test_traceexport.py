@@ -100,10 +100,13 @@ class TestChromeTraceExport:
 class TestMultiThreadedExport:
     def test_threads_get_distinct_tids(self):
         tracer = Tracer()
+        # Both workers are alive inside their spans at once, so the
+        # interpreter cannot hand the second the first one's ident.
+        barrier = threading.Barrier(2)
 
         def work(name):
             with tracer.span(name):
-                time.sleep(0.002)
+                barrier.wait(timeout=5)
 
         threads = [threading.Thread(target=work, args=(f"t{i}",))
                    for i in range(2)]
@@ -112,7 +115,8 @@ class TestMultiThreadedExport:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=5)
+            assert not t.is_alive()
         events = to_chrome_trace(tracer)["traceEvents"]
         names = {e["name"] for e in events}
         assert names == {"main_span", "t0", "t1"}

@@ -51,6 +51,23 @@ def body_json(body):
     return json.loads(body.decode("utf-8"))
 
 
+def post_with_content_length(server, content_length):
+    """``(status, envelope)`` for a bodiless ``POST /v1/analyze`` whose
+    ``Content-Length`` header is sent verbatim.  The socket timeout
+    makes a daemon that waits for a body fail the test, not hang it."""
+    from http.client import HTTPConnection
+
+    conn = HTTPConnection(server.host, server.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/v1/analyze")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, body_json(resp.read())
+    finally:
+        conn.close()
+
+
 def poll_journal(timeout_s=5.0, **filters):
     """Journal events matching ``filters``, polling briefly: finish and
     slow-capture events are emitted *after* the response is sent, so an
@@ -291,6 +308,18 @@ class TestErrorMapping:
         assert status == 400
         assert "empty" in body_json(body)["error"]["message"]
 
+    def test_non_numeric_content_length_is_400(self, server):
+        status, env = post_with_content_length(server, "abc")
+        assert status == 400
+        assert env["error"]["type"] == "ClaraError"
+        assert "Content-Length" in env["error"]["message"]
+
+    def test_negative_content_length_is_400(self, server):
+        # read(-1) would wait for the client to close the connection.
+        status, env = post_with_content_length(server, "-1")
+        assert status == 400
+        assert "Content-Length" in env["error"]["message"]
+
     def test_unknown_request_field_is_400(self, server):
         status, _headers, body = http(server, "/v1/analyze", payload={
             "element": "aggcounter", "elemnt_typo": 1,
@@ -395,6 +424,109 @@ class TestRequestCorrelation:
                    if r.get("request_id") == "log-e2e-1"]
         assert stamped, records
         assert all("ts" in r and "level" in r for r in stamped)
+
+
+class TestOneClock:
+    """One request, one duration: the ``http_request`` span's
+    ``duration_s`` is the SLO sample and the histogram sample, and the
+    journal's ``request_finish`` carries it rounded to 6 decimals."""
+
+    @pytest.mark.parametrize("path,raw,expected", [
+        ("/healthz", None, 200),
+        ("/v1/analyze", b"not json", 400),
+    ])
+    def test_span_slo_histogram_and_journal_agree(
+        self, server, monkeypatch, path, raw, expected,
+    ):
+        from repro.obs import (
+            MetricsRegistry,
+            SloTracker,
+            Tracer,
+            set_metrics,
+            set_slo_tracker,
+        )
+        from repro.serve import server as server_module
+
+        tracers = []
+
+        class KeptTracer(Tracer):
+            def __init__(self):
+                super().__init__()
+                tracers.append(self)
+
+        samples = []
+
+        class KeptSlo(SloTracker):
+            def observe(self, endpoint, duration_s, status=200, now=None):
+                samples.append((endpoint, duration_s, status))
+                super().observe(endpoint, duration_s, status, now)
+
+        monkeypatch.setattr(server_module, "Tracer", KeptTracer)
+        registry = MetricsRegistry()
+        previous_metrics = set_metrics(registry)
+        previous_slo = set_slo_tracker(KeptSlo())
+        rid = f"one-clock-{expected}"
+        try:
+            status, _headers, _body = http(
+                server, path, raw=raw, headers={"X-Clara-Request-Id": rid}
+            )
+            (finish,) = poll_journal(kind="request_finish", request_id=rid)
+        finally:
+            set_metrics(previous_metrics)
+            set_slo_tracker(previous_slo)
+        assert status == expected
+        (root,) = [tracer.roots[0] for tracer in tracers
+                   if tracer.roots[0].attrs["request_id"] == rid]
+        assert root.name == "http_request"
+        duration_s = root.duration_s
+        assert samples == [(path, duration_s, expected)]
+        hist = registry.to_dict()[f'http_request_seconds{{endpoint="{path}"}}']
+        assert hist["count"] == 1
+        assert hist["sum"] == duration_s
+        assert finish.data["duration_s"] == round(duration_s, 6)
+
+    def test_lazy_train_duration_is_its_span(self, clara_artifacts):
+        from repro.core import Clara
+        from repro.obs import Tracer, use_tracer
+        from repro.obs.events import get_journal
+        from repro.serve import ClaraService
+        from repro.serve.schemas import ColocationRequest
+
+        service = ClaraService(Clara.load(clara_artifacts["artifact"]),
+                               colocation_programs=6, colocation_groups=4)
+        tracer = Tracer()
+        try:
+            with use_tracer(tracer):
+                service.colocation(ColocationRequest.from_dict({
+                    "elements": ["aggcounter", "udpcount"],
+                    "workload": {"name": "t", "n_packets": 20},
+                }))
+        finally:
+            service.close()
+        (train,) = [sp for sp in tracer.iter_spans()
+                    if sp.name == "colocation_train"]
+        event = get_journal().snapshot(kind="colocation_train")[-1]
+        assert event.data["duration_s"] == round(train.duration_s, 6)
+
+    def test_default_tracer_holds_no_spans_after_traffic(self, server):
+        import gc
+
+        from repro.obs import TimingTracer, get_tracer
+        from repro.obs.trace import Span
+
+        def live_spans():
+            gc.collect()
+            return sum(isinstance(obj, Span) for obj in gc.get_objects())
+
+        tracer = get_tracer()
+        assert isinstance(tracer, TimingTracer)
+        before = live_spans()
+        for _ in range(100):
+            assert http(server, "/healthz")[0] == 200
+        assert list(tracer.iter_spans()) == []
+        # One span per request would leave 100; allow the few requests
+        # whose handler threads are still finishing.
+        assert live_spans() - before < 10
 
 
 class TestEventsEndpoint:

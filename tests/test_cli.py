@@ -321,6 +321,30 @@ class TestTelemetryFlags:
         assert "cli.lint" in names
         assert "lint_corpus" in names
 
+    def test_analyze_metrics_has_latency_histograms_without_profile(
+        self, clara_artifacts, tmp_path, capsys, monkeypatch,
+    ):
+        # No --profile: only the default, non-recording tracer is
+        # ambient, and its spans must still feed the histograms.
+        from repro.obs import MetricsRegistry, set_metrics, validate_exposition
+
+        monkeypatch.setenv("REPRO_CLARA_CACHE",
+                           str(clara_artifacts["cache_dir"]))
+        path = tmp_path / "metrics.prom"
+        previous = set_metrics(MetricsRegistry())
+        try:
+            assert main(["analyze", "aggcounter", "--packets", "60",
+                         "--metrics", str(path)]) == 0
+        finally:
+            set_metrics(previous)
+        capsys.readouterr()
+        text = path.read_text(encoding="utf-8")
+        for family in ("analyze_latency_seconds", "predict_latency_seconds",
+                       "placement_solve_latency_seconds",
+                       "kmeans_fit_latency_seconds"):
+            assert f"# TYPE {family} histogram" in text, family
+        assert validate_exposition(text) == []
+
     def test_lint_metrics_file_is_prometheus_text(self, tmp_path, capsys):
         path = tmp_path / "metrics.prom"
         code = main(["lint", "mininat", "--metrics", str(path)])
