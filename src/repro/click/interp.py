@@ -11,6 +11,19 @@ module is that host: an NFIR interpreter with host-framework semantics
   (the inputs to the placement ILP and the coalescing K-means), and
 * framework API call counts.
 
+Execution is decode-once.  The first time an :class:`Interpreter`
+runs an NFIR function it decodes it into one tuple per basic block:
+the block name, its instruction count, its straight-line instructions
+as closures over the activation's value environment, and a decoded
+terminator.  Constants and globals are bound into the environment at
+decode time, integer arithmetic comes from the shared kernels of
+:mod:`repro.nfir.instructions`, and each framework API call decodes to
+one closure, so running a packet does no per-instruction type
+dispatch.  Decoded functions belong to the interpreter, not to the
+module (the inliner and ``replace_operands`` mutate modules), and are
+built on first run, after any :func:`~repro.click.elements.install_state`.
+The step limit is checked once per block, before the block runs.
+
 It doubles as a correctness oracle in tests: elements are executed on
 crafted packets and their NF-level behaviour (NAT rewrites, firewall
 verdicts, sketch counts) is asserted directly.
@@ -18,9 +31,10 @@ verdicts, sketch counts) is asserted directly.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,6 +42,7 @@ from repro.click.packet import Packet
 from repro.nfir.block import BasicBlock
 from repro.nfir.function import Function, GlobalVariable, Module
 from repro.nfir.instructions import (
+    CALL_KIND_INTERNAL,
     Alloca,
     BinaryOp,
     Br,
@@ -36,13 +51,14 @@ from repro.nfir.instructions import (
     CondBr,
     GEP,
     ICmp,
+    Instruction,
     Load,
     Phi,
     Ret,
     Select,
     Store,
-    evaluate_binary,
-    evaluate_icmp,
+    binary_kernel,
+    icmp_kernel,
 )
 from repro.nfir.types import ArrayType, IntType, IRType, PointerType, StructType
 from repro.nfir.values import Constant, Value
@@ -99,6 +115,18 @@ class TreeStore(_Store):
         self._navigate(path)[path[-1]] = value
 
 
+class _BoxStore(TreeStore):
+    """One element of a scalar vector, boxed so a pointer to it is
+    writable: writes go back into the vector's item list."""
+
+    def __init__(self, items: List, index: int) -> None:
+        super().__init__(items[index])
+        self._items, self._index = items, index
+
+    def write(self, path: Tuple, value) -> None:
+        self._items[self._index] = value
+
+
 class PacketStore(_Store):
     """Pointer target for header views: path = (header, field)."""
 
@@ -120,13 +148,14 @@ class PacketStore(_Store):
         hdr[fname] = value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ptr:
     """A typed pointer value: storage object + access path.
 
     ``origin`` names the module global this pointer is derived from (if
     any) so the interpreter can attribute loads/stores to stateful data
-    structures.
+    structures.  Not frozen, because frozen instances are three times
+    slower to build, but never mutated after construction.
     """
 
     store: Optional[_Store]
@@ -136,9 +165,6 @@ class Ptr:
     @property
     def is_null(self) -> bool:
         return self.store is None
-
-    def child(self, step) -> "Ptr":
-        return Ptr(self.store, self.path + (step,), self.origin)
 
 
 NULL = Ptr(None)
@@ -201,7 +227,9 @@ class ExecutionProfile:
     path_counts: Counter = field(default_factory=Counter)
 
     def record_access(self, global_name: str, kind: str, block: str) -> None:
-        per_global = self.global_access.setdefault(global_name, Counter())
+        per_global = self.global_access.get(global_name)
+        if per_global is None:
+            per_global = self.global_access[global_name] = Counter()
         per_global[kind] += 1
         self.global_block_access[(global_name, block)] += 1
 
@@ -220,6 +248,57 @@ class ExecutionProfile:
         )
         total = counts.sum()
         return counts / total if total > 0 else counts
+
+
+# -- the decoded form -----------------------------------------------------
+#
+# A decoded function is ``(blocks, constants, formals, has_phi)``.  Each
+# block is ``(name, size, body, kind, a, b, c)``: ``size`` counts the
+# instructions the block executes (terminator included), ``body`` holds
+# one closure per straight-line instruction, and ``kind``/``a``/``b``/
+# ``c`` is the terminator: ``_BR`` jumps to block index ``a``;
+# ``_CONDBR`` tests environment key ``a`` and jumps to ``b`` or ``c``;
+# ``_RET`` returns key ``a`` (``None`` for void); ``_FALL`` means the
+# block has no terminator.  The environment maps SSA values (the
+# :class:`Value` objects themselves) to runtime values; ``constants``
+# pre-binds constants (keyed by ``id``) and globals.
+
+_BR, _CONDBR, _RET, _FALL = range(4)
+
+#: environment key holding the index of the block the activation came
+#: from, kept only for functions that contain phis.
+_PREV = object()
+
+_HEADER_APIS = {
+    "eth_header": "eth",
+    "ip_header": "ip",
+    "tcp_header": "tcp",
+    "udp_header": "udp",
+}
+
+Op = Callable[[Dict], None]
+
+
+def _same_pointer(lhs, rhs) -> bool:
+    """Pointer equality as ``icmp eq`` sees it: two nulls (a null
+    pointer or integer 0) are equal, otherwise pointers must match."""
+    lptr, rptr = isinstance(lhs, Ptr), isinstance(rhs, Ptr)
+    lnull = lhs.is_null if lptr else lhs == 0
+    rnull = rhs.is_null if rptr else rhs == 0
+    return (lnull and rnull) or (lptr and rptr and lhs == rhs)
+
+
+def _read_struct(ptr: Ptr) -> Dict:
+    value = ptr.store.read(ptr.path)  # type: ignore[union-attr]
+    if not isinstance(value, dict):
+        raise InterpError("expected a struct value")
+    return value
+
+
+def _raise(message: str) -> Op:
+    def op(env):
+        raise InterpError(message)
+    return op
 
 
 class Interpreter:
@@ -246,6 +325,13 @@ class Interpreter:
                 self.globals[name] = TreeStore(zero_value(g.value_type))
         self._current_packet: Optional[Packet] = None
         self._packet_store: Optional[PacketStore] = None
+        #: names of the blocks the current packet has executed.
+        self._visited: Set[str] = set()
+        self._programs: Dict[Function, Tuple] = {}
+        # Decoded closures reach the interpreter only through this weak
+        # proxy, so an interpreter nobody holds is freed at once rather
+        # than left to the cycle collector.
+        self._weak = weakref.proxy(self)
 
     # -- state inspection helpers (used by tests) ---------------------
     def hashmap(self, name: str) -> HostHashMap:
@@ -275,336 +361,522 @@ class Interpreter:
     def run_packet(self, packet: Packet) -> Packet:
         self._current_packet = packet
         self._packet_store = PacketStore(packet)
-        handler = self.module.handler
-        before = Counter(self.profile.block_counts)
-        self._run_function(handler, [Ptr(self._packet_store, (), None)])
-        path = frozenset(
-            name
-            for name, count in self.profile.block_counts.items()
-            if count > before.get(name, 0)
-        )
-        self.profile.path_counts[path] += 1
-        self.profile.packets += 1
+        visited = self._visited
+        visited.clear()
+        self._run_function(self.module.handler, [Ptr(self._packet_store)])
+        profile = self.profile
+        path = frozenset(visited)
+        if path in profile.path_counts:
+            profile.path_counts[path] += 1
+        else:
+            # Key a new signature in trace-wide first-execution order
+            # (block_counts order), not this packet's visit order:
+            # consumers that iterate a path, such as the partition
+            # advisor's float sums, then see its blocks in that order.
+            profile.path_counts[
+                frozenset(n for n in profile.block_counts if n in visited)
+            ] = 1
+        profile.packets += 1
         if packet.dropped:
-            self.profile.dropped += 1
+            profile.dropped += 1
         elif packet.out_port is not None:
-            self.profile.sent += 1
+            profile.sent += 1
         return packet
 
-    # -- the core evaluation loop ---------------------------------------
     def _run_function(self, function: Function, args: List):
-        env: Dict[int, object] = {}
-        for formal, actual in zip(function.args, args):
-            env[id(formal)] = actual
-        block = function.entry
-        prev_block: Optional[BasicBlock] = None
+        program = self._programs.get(function)
+        if program is None:
+            program = self._programs[function] = self._decode_function(function)
+        blocks, constants, formals, has_phi = program
+        env = constants.copy()
+        for formal, actual in zip(formals, args):
+            env[formal] = actual
+        block_counts = self.profile.block_counts
+        visited = self._visited
+        max_steps = self.max_steps
         steps = 0
-        while True:
-            self.profile.block_counts[block.name] += 1
-            jumped = False
-            for instr in block.instructions:
-                steps += 1
-                if steps > self.max_steps:
+        index = 0
+        prev = None
+        try:
+            while True:
+                name, size, body, kind, a, b, c = blocks[index]
+                block_counts[name] += 1
+                visited.add(name)
+                steps += size
+                if steps > max_steps:
                     raise InterpError(
                         f"step limit exceeded in @{function.name}"
-                        f" ({self.max_steps} steps)"
+                        f" ({max_steps} steps)"
                     )
+                if has_phi:
+                    env[_PREV] = prev
+                for op in body:
+                    op(env)
+                if kind == _BR:
+                    prev, index = index, a
+                elif kind == _CONDBR:
+                    prev, index = index, (b if env[a] else c)
+                elif kind == _RET:
+                    return None if a is None else env[a]
+                else:
+                    raise InterpError(
+                        f"block {name} in @{function.name} fell through"
+                    )
+        except KeyError as exc:
+            # The environment is keyed by Value objects; nothing else
+            # the closures index is.
+            missing = exc.args[0] if exc.args else None
+            if isinstance(missing, Value):
+                raise InterpError(
+                    f"use of undefined value {missing.ref()}"
+                ) from None
+            raise
+
+    # -- decoding --------------------------------------------------------
+    def _decode_function(self, function: Function) -> Tuple:
+        sources: List[BasicBlock] = list(function.blocks)
+        positions = {id(block): i for i, block in enumerate(sources)}
+
+        def block_index(block: BasicBlock) -> int:
+            # Branches may name a block outside the function; it runs
+            # like any other, so it joins the decoded table.
+            i = positions.get(id(block))
+            if i is None:
+                i = positions[id(block)] = len(sources)
+                sources.append(block)
+            return i
+
+        constants: Dict[object, object] = {}
+
+        def key(value: Value):
+            if isinstance(value, Constant):
+                constants[id(value)] = NULL if value.type.is_pointer else value.value
+                return id(value)
+            if isinstance(value, GlobalVariable) and value not in constants:
+                store = self.globals[value.name]
+                constants[value] = Ptr(
+                    store if isinstance(store, TreeStore) else None, (), value.name
+                )
+            return value
+
+        blocks = []
+        has_phi = False
+        i = 0
+        while i < len(sources):
+            block = sources[i]
+            body: List[Op] = []
+            term: Tuple = (_FALL, None, None, None)
+            size = 0
+            for instr in block.instructions:
+                size += 1
                 if isinstance(instr, Br):
-                    prev_block, block = block, instr.target
-                    jumped = True
+                    term = (_BR, block_index(instr.target), None, None)
                     break
                 if isinstance(instr, CondBr):
-                    cond = self._value(instr.cond, env)
-                    prev_block, block = (
-                        block,
-                        instr.if_true if cond else instr.if_false,
+                    term = (
+                        _CONDBR,
+                        key(instr.cond),
+                        block_index(instr.if_true),
+                        block_index(instr.if_false),
                     )
-                    jumped = True
                     break
                 if isinstance(instr, Ret):
-                    if instr.value is None:
-                        return None
-                    return self._value(instr.value, env)
-                self._execute(instr, env, block, prev_block)
-            if not jumped:
+                    term = (
+                        _RET,
+                        None if instr.value is None else key(instr.value),
+                        None,
+                        None,
+                    )
+                    break
+                if isinstance(instr, Phi):
+                    has_phi = True
+                    body.append(self._decode_phi(instr, block, sources, key))
+                else:
+                    body.append(self._decode(instr, block.name, key))
+            blocks.append((block.name, size, tuple(body)) + term)
+            i += 1
+        return blocks, constants, list(function.args), has_phi
+
+    def _decode_phi(self, instr: Phi, block: BasicBlock, sources, key) -> Op:
+        arms: Dict[BasicBlock, object] = {}
+        for value, pred in instr.incomings:
+            if pred not in arms:
+                arms[pred] = key(value)
+        where = block.name
+
+        def op(env):
+            prev = env[_PREV]
+            if prev is None:
+                raise InterpError("phi in entry block")
+            pred = sources[prev]
+            arm = arms.get(pred)
+            if arm is None:
                 raise InterpError(
-                    f"block {block.name} in @{function.name} fell through"
+                    f"phi in {where} has no arm for predecessor {pred.name}"
                 )
+            env[instr] = env[arm]
+        return op
 
-    def _value(self, value: Value, env: Dict[int, object]):
-        if isinstance(value, Constant):
-            if value.type.is_pointer:
-                return NULL
-            return value.value
-        if isinstance(value, GlobalVariable):
-            store = self.globals[value.name]
-            if isinstance(store, TreeStore):
-                return Ptr(store, (), value.name)
-            # hashmap/vector handles are opaque; only API calls use them.
-            return Ptr(None, (), value.name)
-        if id(value) in env:
-            return env[id(value)]
-        raise InterpError(f"use of undefined value {value.ref()}")
-
-    def _execute(
-        self,
-        instr,
-        env: Dict[int, object],
-        block: BasicBlock,
-        prev_block: Optional[BasicBlock],
-    ) -> None:
+    def _decode(self, instr: Instruction, where: str, key) -> Op:
+        """One closure for one straight-line instruction of block
+        ``where``."""
+        out = instr
         if isinstance(instr, BinaryOp):
-            lhs = self._value(instr.lhs, env)
-            rhs = self._value(instr.rhs, env)
-            env[id(instr)] = evaluate_binary(instr.opcode, instr.type, lhs, rhs)
-        elif isinstance(instr, ICmp):
-            lhs = self._value(instr.lhs, env)
-            rhs = self._value(instr.rhs, env)
-            if isinstance(lhs, Ptr) or isinstance(rhs, Ptr):
-                lnull = lhs.is_null if isinstance(lhs, Ptr) else lhs == 0
-                rnull = rhs.is_null if isinstance(rhs, Ptr) else rhs == 0
-                same = (lnull and rnull) or (
-                    isinstance(lhs, Ptr)
-                    and isinstance(rhs, Ptr)
-                    and lhs == rhs
-                )
-                env[id(instr)] = int(same if instr.predicate == "eq" else not same)
-            else:
-                env[id(instr)] = evaluate_icmp(
-                    instr.predicate, instr.lhs.type, lhs, rhs
-                )
-        elif isinstance(instr, Select):
-            cond = self._value(instr.cond, env)
-            env[id(instr)] = self._value(
-                instr.if_true if cond else instr.if_false, env
+            kernel = binary_kernel(instr.opcode, instr.type)  # type: ignore[arg-type]
+            lhs, rhs = key(instr.lhs), key(instr.rhs)
+
+            def op(env):
+                env[out] = kernel(env[lhs], env[rhs])
+            return op
+        if isinstance(instr, ICmp):
+            lhs, rhs = key(instr.lhs), key(instr.rhs)
+            if instr.lhs.type.is_pointer:
+                want = instr.predicate == "eq"
+
+                def op(env):
+                    env[out] = 1 if _same_pointer(env[lhs], env[rhs]) == want else 0
+                return op
+            compare = icmp_kernel(instr.predicate, instr.lhs.type)  # type: ignore[arg-type]
+
+            def op(env):
+                env[out] = compare(env[lhs], env[rhs])
+            return op
+        if isinstance(instr, Select):
+            cond, if_true, if_false = (
+                key(instr.cond), key(instr.if_true), key(instr.if_false)
             )
-        elif isinstance(instr, Cast):
-            value = self._value(instr.value, env)
-            if instr.opcode == "bitcast":
-                env[id(instr)] = value
-            elif instr.opcode in ("zext", "trunc"):
-                env[id(instr)] = instr.type.wrap(value)  # type: ignore[union-attr]
-            elif instr.opcode == "sext":
-                signed = instr.value.type.to_signed(value)  # type: ignore[union-attr]
-                env[id(instr)] = instr.type.wrap(signed)  # type: ignore[union-attr]
-        elif isinstance(instr, Alloca):
-            env[id(instr)] = Ptr(TreeStore(zero_value(instr.allocated_type)))
-        elif isinstance(instr, Load):
-            ptr = self._value(instr.ptr, env)
-            if not isinstance(ptr, Ptr) or ptr.is_null:
-                raise InterpError(f"load through bad pointer in {block.name}")
-            env[id(instr)] = ptr.store.read(ptr.path)
+
+            def op(env):
+                env[out] = env[if_true] if env[cond] else env[if_false]
+            return op
+        if isinstance(instr, Cast):
+            return self._decode_cast(instr, key)
+        if isinstance(instr, Alloca):
+            allocated = instr.allocated_type
+            if isinstance(allocated, IntType):
+                def op(env):
+                    env[out] = Ptr(TreeStore(0))
+            else:
+                def op(env):
+                    env[out] = Ptr(TreeStore(zero_value(allocated)))
+            return op
+        if isinstance(instr, Load):
+            return self._decode_load(instr, where, key)
+        if isinstance(instr, Store):
+            return self._decode_store(instr, where, key)
+        if isinstance(instr, GEP):
+            return self._decode_gep(instr, key)
+        if isinstance(instr, Call):
+            return self._decode_call(instr, where, key)
+        return _raise(f"cannot interpret {instr.opcode}")
+
+    @staticmethod
+    def _decode_cast(instr: Cast, key) -> Op:
+        out, source = instr, key(instr.value)
+        if instr.opcode == "bitcast":
+            def op(env):
+                env[out] = env[source]
+        elif instr.opcode == "sext":
+            to_signed = instr.value.type.to_signed  # type: ignore[union-attr]
+            wrap = instr.type.wrap  # type: ignore[union-attr]
+
+            def op(env):
+                env[out] = wrap(to_signed(env[source]))
+        else:  # zext, trunc
+            mask = instr.type.max_unsigned()  # type: ignore[union-attr]
+
+            def op(env):
+                env[out] = env[source] & mask
+        return op
+
+    def _decode_load(self, instr: Load, where: str, key) -> Op:
+        out, pointer = instr, key(instr.ptr)
+        record = self.profile.record_access
+        bad = f"load through bad pointer in {where}"
+
+        def op(env):
+            ptr = env[pointer]
+            if ptr.__class__ is not Ptr or ptr.store is None:
+                raise InterpError(bad)
+            env[out] = ptr.store.read(ptr.path)
             if ptr.origin is not None:
-                self.profile.record_access(ptr.origin, "load", block.name)
-        elif isinstance(instr, Store):
-            ptr = self._value(instr.ptr, env)
-            value = self._value(instr.value, env)
-            if not isinstance(ptr, Ptr) or ptr.is_null:
-                raise InterpError(f"store through bad pointer in {block.name}")
+                record(ptr.origin, "load", where)
+        return op
+
+    def _decode_store(self, instr: Store, where: str, key) -> Op:
+        pointer, source = key(instr.ptr), key(instr.value)
+        record = self.profile.record_access
+        bad = f"store through bad pointer in {where}"
+
+        def op(env):
+            ptr = env[pointer]
+            value = env[source]
+            if ptr.__class__ is not Ptr or ptr.store is None:
+                raise InterpError(bad)
             ptr.store.write(ptr.path, value)
             if ptr.origin is not None:
-                self.profile.record_access(ptr.origin, "store", block.name)
-        elif isinstance(instr, GEP):
-            base = self._value(instr.base, env)
-            if not isinstance(base, Ptr):
+                record(ptr.origin, "store", where)
+        return op
+
+    @staticmethod
+    def _decode_gep(instr: GEP, key) -> Op:
+        out, base_key = instr, key(instr.base)
+        # (True, step) for a field name or constant index, (False,
+        # environment key) for an index computed at run time.
+        steps = []
+        for idx in instr.indices:
+            if isinstance(idx, str):
+                steps.append((True, idx))
+            elif isinstance(idx, Constant) and not idx.type.is_pointer:
+                steps.append((True, idx.value))
+            else:
+                steps.append((False, key(idx)))
+        if all(fixed for fixed, _ in steps):
+            suffix = tuple(step for _, step in steps)
+
+            def op(env):
+                base = env[base_key]
+                if base.__class__ is not Ptr:
+                    raise InterpError("GEP on non-pointer value")
+                env[out] = Ptr(base.store, base.path + suffix, base.origin)
+            return op
+
+        def op(env):
+            base = env[base_key]
+            if base.__class__ is not Ptr:
                 raise InterpError("GEP on non-pointer value")
-            ptr = base
-            for idx in instr.indices:
-                if isinstance(idx, str):
-                    ptr = ptr.child(idx)
-                else:
-                    ptr = ptr.child(int(self._value(idx, env)))
-            env[id(instr)] = ptr
-        elif isinstance(instr, Phi):
-            if prev_block is None:
-                raise InterpError("phi in entry block")
-            for value, pred in instr.incomings:
-                if pred is prev_block:
-                    env[id(instr)] = self._value(value, env)
-                    return
-            raise InterpError(
-                f"phi in {block.name} has no arm for predecessor"
-                f" {prev_block.name}"
+            path = base.path + tuple(
+                step if fixed else int(env[step]) for fixed, step in steps
             )
-        elif isinstance(instr, Call):
-            result = self._call(instr, env, block)
+            env[out] = Ptr(base.store, path, base.origin)
+        return op
+
+    def _decode_call(self, instr: Call, where: str, key) -> Op:
+        out = instr
+        if instr.kind == CALL_KIND_INTERNAL:
+            callee = self.module.functions.get(instr.callee)
+            if callee is None:
+                return _raise(f"call to unknown function @{instr.callee}")
+            args = [key(a) for a in instr.args]
+            interp = self._weak
             if instr.produces_value:
-                env[id(instr)] = result
+                def op(env):
+                    env[out] = interp._run_function(callee, [env[a] for a in args])
+            else:
+                def op(env):
+                    interp._run_function(callee, [env[a] for a in args])
+            return op
+        api = self._decode_api(instr, where, key)
+        api_counts = self.profile.api_counts
+        name = instr.callee
+        if instr.produces_value:
+            def op(env):
+                api_counts[name] += 1
+                env[out] = api(env)
         else:
-            raise InterpError(f"cannot interpret {instr.opcode}")
+            def op(env):
+                api_counts[name] += 1
+                api(env)
+        return op
 
     # -- framework API implementations -----------------------------------
-    def _call(self, instr: Call, env: Dict[int, object], block: BasicBlock):
+    def _decode_api(self, instr: Call, where: str, key) -> Callable[[Dict], object]:
+        """One closure computing framework API ``instr.callee``."""
         name = instr.callee
-        if instr.kind == "internal":
-            if name not in self.module.functions:
-                raise InterpError(f"call to unknown function @{name}")
-            args = [self._value(a, env) for a in instr.args]
-            return self._run_function(self.module.functions[name], args)
-        self.profile.api_counts[name] += 1
-        packet = self._current_packet
-        if packet is None:
-            raise InterpError("API call outside packet context")
+        args = [key(a) for a in instr.args]
+        interp = self._weak
+        if name in _HEADER_APIS:
+            header = _HEADER_APIS[name]
 
-        if name in ("eth_header", "ip_header", "tcp_header", "udp_header"):
-            header = name.split("_")[0]
-            if packet.header(header) is None:
-                return NULL
-            return Ptr(self._packet_store, (header,))
+            def api(env):
+                if interp._current_packet.header(header) is None:
+                    return NULL
+                return Ptr(interp._packet_store, (header,))
+            return api
         if name == "payload_byte":
-            index = self._value(instr.args[1], env)
-            if not packet.payload:
-                return 0
-            return packet.payload[index % len(packet.payload)]
+            index = args[1]
+
+            def api(env):
+                i = env[index]
+                payload = interp._current_packet.payload
+                if not payload:
+                    return 0
+                return payload[i % len(payload)]
+            return api
         if name == "set_payload_byte":
-            index = self._value(instr.args[1], env)
-            value = self._value(instr.args[2], env)
-            if packet.payload:
-                payload = bytearray(packet.payload)
-                payload[index % len(payload)] = value & 0xFF
-                packet.payload = bytes(payload)
-            return None
+            index, byte = args[1], args[2]
+
+            def api(env):
+                i, value = env[index], env[byte]
+                packet = interp._current_packet
+                if packet.payload:
+                    payload = bytearray(packet.payload)
+                    payload[i % len(payload)] = value & 0xFF
+                    packet.payload = bytes(payload)
+            return api
         if name == "payload_len":
-            return len(packet.payload)
+            return lambda env: len(interp._current_packet.payload)
         if name == "send":
-            packet.out_port = self._value(instr.args[1], env)
-            return None
+            port = args[1]
+
+            def api(env):
+                interp._current_packet.out_port = env[port]
+            return api
         if name == "drop":
-            packet.dropped = True
-            return None
+            def api(env):
+                interp._current_packet.dropped = True
+            return api
         if name == "in_port":
-            return packet.in_port
+            return lambda env: interp._current_packet.in_port
         if name == "timestamp_ns":
-            return packet.timestamp_ns
-        if name == "checksum_update_ip":
-            ptr = self._value(instr.args[0], env)
-            self._checksum_ip(ptr)
-            return None
-        if name == "checksum_update_tcp":
-            ptr = self._value(instr.args[0], env)
-            self._checksum_tcp(ptr)
-            return None
+            return lambda env: interp._current_packet.timestamp_ns
+        if name in ("checksum_update_ip", "checksum_update_tcp"):
+            header_ptr = args[0]
+            update = _checksum_ip if name == "checksum_update_ip" else _checksum_tcp
+
+            def api(env):
+                env[header_ptr]  # evaluated for the undefined-value check
+                update(interp._current_packet)
+            return api
         if name == "random_u32":
-            return int(self.rng.integers(0, 2**32, dtype=np.uint64))
+            return lambda env: int(interp.rng.integers(0, 2**32, dtype=np.uint64))
 
         # Stateful data-structure APIs.  The receiver global is the
         # first argument.
         receiver = instr.args[0]
         if not isinstance(receiver, GlobalVariable):
-            raise InterpError(f"API {name} receiver is not a global")
-        gname = receiver.name
-        self.profile.record_access(gname, "load", block.name)
+            return _raise(f"API {name} receiver is not a global")
         if name.startswith("hashmap_"):
-            return self._hashmap_call(name, gname, instr, env, block)
+            return self._decode_hashmap(name, receiver.name, args, where)
         if name.startswith("vector_"):
-            return self._vector_call(name, gname, instr, env, block)
-        raise InterpError(f"unimplemented API {name!r}")
+            return self._decode_vector(name, receiver.name, args, where)
+        return _raise(f"unimplemented API {name!r}")
 
-    def _read_struct(self, ptr: Ptr) -> Dict:
-        value = ptr.store.read(ptr.path)  # type: ignore[union-attr]
-        if not isinstance(value, dict):
-            raise InterpError("expected a struct value")
-        return value
-
-    def _hashmap_call(self, name, gname, instr, env, block):
-        table = self.hashmap(gname)
+    def _decode_hashmap(self, name: str, gname: str, args: List, where: str):
+        record = self.profile.record_access
+        table = self.globals[gname]
+        if not isinstance(table, HostHashMap):
+            return _raise(f"{gname} is not a hashmap")
         if name == "hashmap_size":
-            return len(table)
-        key_ptr = self._value(instr.args[1], env)
-        key = tuple(sorted(self._read_struct(key_ptr).items()))
+            def api(env):
+                record(gname, "load", where)
+                return len(table)
+            return api
+        key_arg = args[1]
+
+        def read_key(env) -> Tuple:
+            return tuple(sorted(_read_struct(env[key_arg]).items()))
+
         if name == "hashmap_find":
-            entry = table.find(key)
-            if entry is None:
-                return NULL
-            return Ptr(TreeStore(entry), (), gname)
-        if name == "hashmap_insert":
-            value_ptr = self._value(instr.args[2], env)
-            value = self._read_struct(value_ptr)
-            self.profile.record_access(gname, "store", block.name)
-            return int(table.insert(key, value))
-        if name == "hashmap_erase":
-            self.profile.record_access(gname, "store", block.name)
-            return int(table.erase(key))
-        raise InterpError(f"unknown hashmap API {name}")
+            def api(env):
+                record(gname, "load", where)
+                entry = table.find(read_key(env))
+                if entry is None:
+                    return NULL
+                return Ptr(TreeStore(entry), (), gname)
+        elif name == "hashmap_insert":
+            value_arg = args[2]
 
-    def _vector_call(self, name, gname, instr, env, block):
-        vec = self.vector(gname)
+            def api(env):
+                record(gname, "load", where)
+                hkey = read_key(env)
+                value = _read_struct(env[value_arg])
+                record(gname, "store", where)
+                return int(table.insert(hkey, value))
+        elif name == "hashmap_erase":
+            def api(env):
+                record(gname, "load", where)
+                hkey = read_key(env)
+                record(gname, "store", where)
+                return int(table.erase(hkey))
+        else:
+            return _raise(f"unknown hashmap API {name}")
+        return api
+
+    def _decode_vector(self, name: str, gname: str, args: List, where: str):
+        record = self.profile.record_access
+        vec = self.globals[gname]
+        if not isinstance(vec, HostVector):
+            return _raise(f"{gname} is not a vector")
         if name == "vector_size":
-            return len(vec.items)
-        if name == "vector_at":
-            index = self._value(instr.args[1], env)
-            if index >= len(vec.items):
-                return NULL
-            item = vec.items[index]
-            if isinstance(item, dict):
-                return Ptr(TreeStore(item), (), gname)
-            # Scalar vectors: box the value so the pointer is writable.
-            box = {"elem": item}
+            def api(env):
+                record(gname, "load", where)
+                return len(vec.items)
+        elif name == "vector_at":
+            index_arg = args[1]
 
-            class _BoxStore(TreeStore):
-                def __init__(self, items, i):
-                    super().__init__(items[i])
-                    self._items, self._i = items, i
+            def api(env):
+                record(gname, "load", where)
+                index = env[index_arg]
+                if index >= len(vec.items):
+                    return NULL
+                item = vec.items[index]
+                if isinstance(item, dict):
+                    return Ptr(TreeStore(item), (), gname)
+                return Ptr(_BoxStore(vec.items, index), (), gname)
+        elif name == "vector_push":
+            elem_arg = args[1]
 
-                def write(self, path, value):
-                    self._items[self._i] = value
+            def api(env):
+                record(gname, "load", where)
+                elem_ptr = env[elem_arg]
+                value = elem_ptr.store.read(elem_ptr.path)
+                if isinstance(value, dict):
+                    value = dict(value)
+                record(gname, "store", where)
+                return int(vec.push(value))
+        elif name == "vector_remove":
+            index_arg = args[1]
 
-            return Ptr(_BoxStore(vec.items, index), (), gname)
-        if name == "vector_push":
-            elem_ptr = self._value(instr.args[1], env)
-            value = elem_ptr.store.read(elem_ptr.path)  # type: ignore[union-attr]
-            if isinstance(value, dict):
-                value = dict(value)
-            self.profile.record_access(gname, "store", block.name)
-            return int(vec.push(value))
-        if name == "vector_remove":
-            index = self._value(instr.args[1], env)
-            self.profile.record_access(gname, "store", block.name)
-            if index < len(vec.items):
-                del vec.items[index]
-            return None
-        raise InterpError(f"unknown vector API {name}")
+            def api(env):
+                record(gname, "load", where)
+                index = env[index_arg]
+                record(gname, "store", where)
+                if index < len(vec.items):
+                    del vec.items[index]
+        else:
+            return _raise(f"unknown vector API {name}")
+        return api
 
-    # -- checksum helpers ---------------------------------------------------
-    def _checksum_ip(self, ptr: Ptr) -> None:
-        packet = self._current_packet
-        assert packet is not None
-        words = [
-            (packet.ip["ip_v"] << 12)
-            | (packet.ip["ip_hl"] << 8)
-            | packet.ip["ip_tos"],
-            packet.ip["ip_len"],
-            packet.ip["ip_id"],
-            packet.ip["ip_off"],
-            (packet.ip["ip_ttl"] << 8) | packet.ip["ip_p"],
-            packet.ip["src_addr"] >> 16,
-            packet.ip["src_addr"] & 0xFFFF,
-            packet.ip["dst_addr"] >> 16,
-            packet.ip["dst_addr"] & 0xFFFF,
-        ]
-        total = sum(words)
-        while total > 0xFFFF:
-            total = (total & 0xFFFF) + (total >> 16)
-        packet.ip["ip_sum"] = (~total) & 0xFFFF
 
-    def _checksum_tcp(self, ptr: Ptr) -> None:
-        packet = self._current_packet
-        assert packet is not None
-        if packet.tcp is None:
-            return
-        words = [
-            packet.tcp["th_sport"],
-            packet.tcp["th_dport"],
-            packet.tcp["th_seq"] >> 16,
-            packet.tcp["th_seq"] & 0xFFFF,
-            packet.tcp["th_ack"] >> 16,
-            packet.tcp["th_ack"] & 0xFFFF,
-            packet.ip["src_addr"] >> 16,
-            packet.ip["src_addr"] & 0xFFFF,
-            packet.ip["dst_addr"] >> 16,
-            packet.ip["dst_addr"] & 0xFFFF,
-        ]
-        total = sum(words)
-        while total > 0xFFFF:
-            total = (total & 0xFFFF) + (total >> 16)
-        packet.tcp["th_sum"] = (~total) & 0xFFFF
+# -- checksum helpers -----------------------------------------------------
+
+def _checksum_ip(packet: Packet) -> None:
+    words = [
+        (packet.ip["ip_v"] << 12)
+        | (packet.ip["ip_hl"] << 8)
+        | packet.ip["ip_tos"],
+        packet.ip["ip_len"],
+        packet.ip["ip_id"],
+        packet.ip["ip_off"],
+        (packet.ip["ip_ttl"] << 8) | packet.ip["ip_p"],
+        packet.ip["src_addr"] >> 16,
+        packet.ip["src_addr"] & 0xFFFF,
+        packet.ip["dst_addr"] >> 16,
+        packet.ip["dst_addr"] & 0xFFFF,
+    ]
+    total = sum(words)
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    packet.ip["ip_sum"] = (~total) & 0xFFFF
+
+
+def _checksum_tcp(packet: Packet) -> None:
+    if packet.tcp is None:
+        return
+    words = [
+        packet.tcp["th_sport"],
+        packet.tcp["th_dport"],
+        packet.tcp["th_seq"] >> 16,
+        packet.tcp["th_seq"] & 0xFFFF,
+        packet.tcp["th_ack"] >> 16,
+        packet.tcp["th_ack"] & 0xFFFF,
+        packet.ip["src_addr"] >> 16,
+        packet.ip["src_addr"] & 0xFFFF,
+        packet.ip["dst_addr"] >> 16,
+        packet.ip["dst_addr"] & 0xFFFF,
+    ]
+    total = sum(words)
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    packet.tcp["th_sum"] = (~total) & 0xFFFF

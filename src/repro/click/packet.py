@@ -147,9 +147,9 @@ class Packet:
             self.ip["ip_p"] = PROTO_UDP
 
     def header(self, name: str) -> Optional[Dict[str, int]]:
-        return {"eth": self.eth, "ip": self.ip, "tcp": self.tcp, "udp": self.udp}[
-            name
-        ]
+        if name not in _HEADER_LAYOUTS:
+            raise KeyError(name)
+        return getattr(self, name)
 
     @property
     def wire_len(self) -> int:

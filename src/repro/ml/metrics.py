@@ -93,7 +93,10 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
     p, q = _normalize(p), _normalize(q)
     m = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
+    # Rounding can leave proportional inputs a hair below zero
+    # (p=[1,1,1], q=[0.01,0.01,0.01] gives -5.6e-17); the divergence
+    # itself never is.
+    return max(0.0, 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m))
 
 
 def renyi_divergence(p: np.ndarray, q: np.ndarray, alpha: float = 0.5) -> float:

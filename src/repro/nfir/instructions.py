@@ -12,7 +12,8 @@ realistic instruction selection and fusion the paper's LSTM must learn.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.nfir.types import IntType, IRType, PointerType, StructType, VOID, I1
 from repro.nfir.values import Value
@@ -408,73 +409,104 @@ class Phi(Instruction):
         self.incomings = [(_subst(v, mapping), b) for v, b in self.incomings]
 
 
-def evaluate_binary(opcode: str, type_: IntType, lhs: int, rhs: int) -> int:
-    """Constant-fold a binary op on unsigned-wrapped integers.
+@functools.cache
+def _binary_kernel(opcode: str, bits: int) -> Callable[[int, int], int]:
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
 
-    Shared by the IR constant folder, the SmartNIC compiler's peephole
-    pass, and the ClickScript interpreter so all three agree on
-    arithmetic semantics (wrapping, division by zero yields 0 as on the
-    NFP's software-divide helper).
-    """
-    bits = type_.bits
-    mask = type_.max_unsigned()
-    lhs &= mask
-    rhs &= mask
-    if opcode == "add":
-        return (lhs + rhs) & mask
-    if opcode == "sub":
-        return (lhs - rhs) & mask
-    if opcode == "mul":
-        return (lhs * rhs) & mask
-    if opcode == "udiv":
-        return (lhs // rhs) & mask if rhs else 0
-    if opcode == "sdiv":
-        sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
+    def signed(x: int) -> int:
+        return ((x & mask) ^ sign) - sign
+
+    def sdiv(lhs: int, rhs: int) -> int:
+        sl, sr = signed(lhs), signed(rhs)
         if sr == 0:
             return 0
         q = abs(sl) // abs(sr)
         if (sl < 0) != (sr < 0):
             q = -q
         return q & mask
-    if opcode == "urem":
-        return (lhs % rhs) & mask if rhs else 0
-    if opcode == "srem":
-        sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
+
+    def srem(lhs: int, rhs: int) -> int:
+        sl, sr = signed(lhs), signed(rhs)
         if sr == 0:
             return 0
         r = abs(sl) % abs(sr)
         if sl < 0:
             r = -r
         return r & mask
-    if opcode == "and":
-        return lhs & rhs
-    if opcode == "or":
-        return lhs | rhs
-    if opcode == "xor":
-        return lhs ^ rhs
-    if opcode == "shl":
-        return (lhs << (rhs % bits)) & mask
-    if opcode == "lshr":
-        return (lhs >> (rhs % bits)) & mask
-    if opcode == "ashr":
-        return type_.wrap(type_.to_signed(lhs) >> (rhs % bits))
-    raise ValueError(f"unknown binary opcode {opcode!r}")
+
+    # Operands are reduced modulo 2**bits; shift amounts modulo the
+    # width (a power of two, so ``rhs % bits`` equals the masked form).
+    kernels: Dict[str, Callable[[int, int], int]] = {
+        "add": lambda lhs, rhs: (lhs + rhs) & mask,
+        "sub": lambda lhs, rhs: (lhs - rhs) & mask,
+        "mul": lambda lhs, rhs: (lhs * rhs) & mask,
+        "udiv": lambda lhs, rhs: (lhs & mask) // (rhs & mask) if rhs & mask else 0,
+        "sdiv": sdiv,
+        "urem": lambda lhs, rhs: (lhs & mask) % (rhs & mask) if rhs & mask else 0,
+        "srem": srem,
+        "and": lambda lhs, rhs: lhs & rhs & mask,
+        "or": lambda lhs, rhs: (lhs | rhs) & mask,
+        "xor": lambda lhs, rhs: (lhs ^ rhs) & mask,
+        "shl": lambda lhs, rhs: (lhs << (rhs % bits)) & mask,
+        "lshr": lambda lhs, rhs: (lhs & mask) >> (rhs % bits),
+        "ashr": lambda lhs, rhs: (signed(lhs) >> (rhs % bits)) & mask,
+    }
+    if opcode not in kernels:
+        raise ValueError(f"unknown binary opcode {opcode!r}")
+    return kernels[opcode]
+
+
+@functools.cache
+def _icmp_kernel(predicate: str, bits: int) -> Callable[[int, int], int]:
+    mask = (1 << bits) - 1
+    # Flipping the sign bit maps signed order onto unsigned order.
+    sign = 1 << (bits - 1)
+    kernels: Dict[str, Callable[[int, int], int]] = {
+        "eq": lambda lhs, rhs: 1 if lhs & mask == rhs & mask else 0,
+        "ne": lambda lhs, rhs: 1 if lhs & mask != rhs & mask else 0,
+        "ult": lambda lhs, rhs: 1 if lhs & mask < rhs & mask else 0,
+        "ule": lambda lhs, rhs: 1 if lhs & mask <= rhs & mask else 0,
+        "ugt": lambda lhs, rhs: 1 if lhs & mask > rhs & mask else 0,
+        "uge": lambda lhs, rhs: 1 if lhs & mask >= rhs & mask else 0,
+        "slt": lambda lhs, rhs: 1 if (lhs & mask) ^ sign < (rhs & mask) ^ sign else 0,
+        "sle": lambda lhs, rhs: 1 if (lhs & mask) ^ sign <= (rhs & mask) ^ sign else 0,
+        "sgt": lambda lhs, rhs: 1 if (lhs & mask) ^ sign > (rhs & mask) ^ sign else 0,
+        "sge": lambda lhs, rhs: 1 if (lhs & mask) ^ sign >= (rhs & mask) ^ sign else 0,
+    }
+    if predicate not in kernels:
+        raise ValueError(f"unknown icmp predicate {predicate!r}")
+    return kernels[predicate]
+
+
+def binary_kernel(opcode: str, type_: IntType) -> Callable[[int, int], int]:
+    """The two-operand function computing ``opcode`` at ``type_``.
+
+    This is the one definition of NFIR integer arithmetic: unsigned
+    wrapping to the type width, shift amounts taken modulo the width,
+    and division or remainder by zero yielding 0, as on the NFP's
+    software-divide helper.  :func:`evaluate_binary` and the host
+    interpreter both call these kernels.
+    """
+    return _binary_kernel(opcode, type_.bits)
+
+
+def icmp_kernel(predicate: str, type_: IntType) -> Callable[[int, int], int]:
+    """The two-operand function computing ``icmp predicate`` at
+    ``type_``; returns 0 or 1."""
+    return _icmp_kernel(predicate, type_.bits)
+
+
+def evaluate_binary(opcode: str, type_: IntType, lhs: int, rhs: int) -> int:
+    """Constant-fold a binary op on unsigned-wrapped integers.
+
+    Shared by the IR constant folder, the SmartNIC compiler's peephole
+    pass, and the host interpreter (through :func:`binary_kernel`) so
+    all three agree on arithmetic semantics.
+    """
+    return binary_kernel(opcode, type_)(lhs, rhs)
 
 
 def evaluate_icmp(predicate: str, type_: IntType, lhs: int, rhs: int) -> int:
     """Evaluate an integer comparison; returns 0 or 1."""
-    ul, ur = type_.wrap(lhs), type_.wrap(rhs)
-    sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
-    table = {
-        "eq": ul == ur,
-        "ne": ul != ur,
-        "ult": ul < ur,
-        "ule": ul <= ur,
-        "ugt": ul > ur,
-        "uge": ul >= ur,
-        "slt": sl < sr,
-        "sle": sl <= sr,
-        "sgt": sl > sr,
-        "sge": sl >= sr,
-    }
-    return int(table[predicate])
+    return icmp_kernel(predicate, type_)(lhs, rhs)

@@ -3,12 +3,12 @@
 Clara's pitch is that offloading decisions must rest on *measured*
 performance, not intuition — this module holds the repo to the same
 standard.  A declared suite of pipeline workloads (dataset synthesis,
-predictor train/infer, algorithm identification, scale-out GBDT,
-placement ILP, coalescing K-means, colocation ranking, corpus lint,
-warm-daemon analyze over HTTP)
-is timed as **median-of-N with MAD dispersion** and written to a
-schema-versioned ``BENCH_<git-sha>.json`` trajectory artifact, so PR N
-can be compared against PR N-1::
+predictor train/infer, host interpretation, algorithm identification,
+scale-out GBDT, placement ILP, coalescing K-means, colocation ranking,
+corpus lint, warm-daemon analyze over HTTP) is timed as **median-of-N
+with MAD dispersion** and written to a schema-versioned
+``BENCH_<git-sha>.json`` trajectory artifact, so PR N can be compared
+against PR N-1::
 
     clara bench --quick --out BENCH_now.json
     clara bench --quick --compare results/BENCH_baseline.json
@@ -288,6 +288,40 @@ def _case_predictor_infer_cached(ctx: BenchContext) -> Callable[[], Any]:
 
     def run():
         return predictor.predict_sequences(sequences)
+    return run
+
+
+@register_case("host_interp",
+               "host interpreter over fresh 2000-packet traces")
+def _case_host_interp(ctx: BenchContext) -> Callable[[], Any]:
+    from dataclasses import replace
+
+    from repro.click.elements import (
+        build_element,
+        initial_state,
+        install_state,
+    )
+    from repro.click.interp import Interpreter
+    from repro.workload import generate_trace
+    from repro.workload.spec import SMALL_FLOWS
+
+    spec = replace(SMALL_FLOWS, n_packets=2000)
+    nfs = [
+        (ctx.prepared(name).module, initial_state(build_element(name)))
+        for name in ("mazunat", "firewall")
+    ]
+
+    def run():
+        # What Clara.profile_on_host does per NF.  The interpreter
+        # rewrites packets, so every run draws a fresh trace.
+        profiles = []
+        for module, state in nfs:
+            interp = Interpreter(module, seed=ctx.seed)
+            install_state(interp, state)
+            profiles.append(
+                interp.run_trace(generate_trace(spec, seed=ctx.seed))
+            )
+        return profiles
     return run
 
 

@@ -14,8 +14,9 @@ code, HTTP status).
 Requests are the mirror image: :class:`AnalyzeRequest`,
 :class:`LintRequest`, and :class:`ColocationRequest` are versioned
 dataclasses with strict ``from_dict`` constructors (unknown fields are
-rejected, workloads are validated through
-:class:`~repro.workload.spec.WorkloadSpec`) and round-trip
+rejected, every field's JSON type is checked, workload sizes are
+capped at :data:`WORKLOAD_CEILINGS`, and workloads are validated
+through :class:`~repro.workload.spec.WorkloadSpec`) and round-trip
 ``to_dict``, so clients can build payloads from the same definitions
 the server parses.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,6 +43,7 @@ __all__ = [
     "ColocationRequest",
     "LintRequest",
     "WIRE_SCHEMA",
+    "WORKLOAD_CEILINGS",
     "analysis_result_payload",
     "dump_envelope",
     "envelope",
@@ -64,11 +67,48 @@ WIRE_SCHEMA = 4
 
 _WORKLOAD_FIELDS = {f.name for f in dataclasses.fields(WorkloadSpec)}
 
+#: integer-valued workload fields; the rest but ``name`` are numbers.
+_WORKLOAD_INT_FIELDS = ("n_flows", "packet_bytes", "payload_bytes", "n_packets")
+
+#: largest value a request may ask for, per workload field: one
+#: request must not pin a core for minutes or allocate without bound.
+WORKLOAD_CEILINGS: Dict[str, int] = {
+    "n_packets": 100_000,
+    "n_flows": 1_000_000,
+    "payload_bytes": 9_000,
+}
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true``/``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_workload_field(name: str, value: Any) -> None:
+    if name == "name":
+        if not isinstance(value, str):
+            raise InvalidWorkloadError("workload 'name' must be a string")
+    elif name in _WORKLOAD_INT_FIELDS:
+        if not _is_int(value):
+            raise InvalidWorkloadError(f"workload {name!r} must be an integer")
+        ceiling = WORKLOAD_CEILINGS.get(name)
+        if ceiling is not None and value > ceiling:
+            raise InvalidWorkloadError(f"workload {name!r} must be <= {ceiling}")
+    else:
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number; too big a float
+            finite = False
+        if not finite:
+            raise InvalidWorkloadError(f"workload {name!r} must be a finite number")
+
 
 def workload_from_dict(data: Mapping[str, Any]) -> WorkloadSpec:
     """A validated :class:`WorkloadSpec` from its wire dict.  Field
     names are exactly the spec's constructor fields; anything else is
-    rejected so typos fail loudly instead of silently defaulting."""
+    rejected so typos fail loudly instead of silently defaulting.
+    Each field must have its JSON type, and the sizes in
+    :data:`WORKLOAD_CEILINGS` are capped."""
     if not isinstance(data, Mapping):
         raise InvalidWorkloadError("workload must be a JSON object")
     unknown = sorted(set(data) - _WORKLOAD_FIELDS)
@@ -77,6 +117,8 @@ def workload_from_dict(data: Mapping[str, Any]) -> WorkloadSpec:
             f"unknown workload fields: {', '.join(unknown)}"
             f" (known: {', '.join(sorted(_WORKLOAD_FIELDS))})"
         )
+    for name, value in data.items():
+        _check_workload_field(name, value)
     return WorkloadSpec(**dict(data))
 
 
@@ -104,6 +146,15 @@ def _reject_unknown(data: Dict[str, Any], kind: str) -> None:
         raise ClaraError(
             f"unknown {kind} fields: {', '.join(sorted(data))}"
         )
+
+
+def _pop_trace_seed(data: Dict[str, Any], kind: str) -> int:
+    """Pop and validate the optional ``trace_seed`` (default 0): a
+    non-negative JSON integer, as numpy's seeding requires."""
+    seed = data.pop("trace_seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ClaraError(f"{kind} 'trace_seed' must be a non-negative integer")
+    return seed
 
 
 def _pop_target(data: Dict[str, Any], kind: str) -> Optional[str]:
@@ -145,7 +196,7 @@ class AnalyzeRequest:
                 "analyze_request needs an 'element' name"
             )
         workload = workload_from_dict(data.pop("workload", {}) or {})
-        trace_seed = int(data.pop("trace_seed", 0))
+        trace_seed = _pop_trace_seed(data, cls.kind)
         target = _pop_target(data, cls.kind)
         _reject_unknown(data, cls.kind)
         return cls(element=element, workload=workload,
@@ -249,7 +300,7 @@ class ColocationRequest:
                 "colocation_request needs an 'elements' list of names"
             )
         workload = workload_from_dict(data.pop("workload", {}) or {})
-        trace_seed = int(data.pop("trace_seed", 0))
+        trace_seed = _pop_trace_seed(data, cls.kind)
         _reject_unknown(data, cls.kind)
         return cls(elements=tuple(elements), workload=workload,
                    trace_seed=trace_seed)

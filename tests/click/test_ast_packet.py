@@ -103,6 +103,8 @@ class TestPacket:
         p = Packet(ip={}, udp={})
         assert p.header("udp") is p.udp
         assert p.header("tcp") is None
+        with pytest.raises(KeyError):
+            p.header("payload")  # an attribute, but not a header
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_flow_key_deterministic(self, addr):

@@ -1,8 +1,14 @@
-"""Interpreter semantics tests: framework APIs, state, profiling."""
+"""Interpreter semantics tests: framework APIs, state, profiling,
+and every runtime error the interpreter raises."""
+
+import gc
+import re
+import weakref
 
 import pytest
 
 from repro.click import ast as C
+from repro.click.elements import build_element, initial_state, install_state
 from repro.click.elements._dsl import (
     assign,
     decl,
@@ -23,7 +29,12 @@ from repro.click.elements._dsl import (
 )
 from repro.click.frontend import lower_element
 from repro.click.interp import InterpError, Interpreter
-from repro.click.packet import Packet
+from repro.click.packet import PACKET_TYPE, Packet
+from repro.nfir.builder import IRBuilder
+from repro.nfir.function import Function, GlobalVariable, Module
+from repro.nfir.instructions import CALL_KIND_API
+from repro.nfir.types import I32, VOID, PointerType, StructType
+from repro.nfir.values import Argument, Constant
 
 
 def make_interp(handler, state=(), structs=(), seed=0):
@@ -303,3 +314,177 @@ class TestProfiling:
         interp.max_steps = 1000
         with pytest.raises(InterpError, match="step limit"):
             interp.run_packet(Packet(ip={}, tcp={}))
+
+
+def _handler_module(build, globals_=()):
+    """A module whose ``pkt_handler`` body ``build(module, fn, b)`` emits
+    through an :class:`IRBuilder` positioned at the entry block."""
+    module = Module("hand_built")
+    for g in globals_:
+        module.add_global(g)
+    fn = module.add_function(
+        Function("pkt_handler", [("pkt", PointerType(PACKET_TYPE))])
+    )
+    build(module, fn, IRBuilder(fn, fn.add_block("entry")))
+    return module
+
+
+def _run_expecting(module, message, max_steps=None):
+    interp = Interpreter(module)
+    if max_steps is not None:
+        interp.max_steps = max_steps
+    with pytest.raises(InterpError, match=re.escape(message)):
+        interp.run_packet(Packet(ip={}, tcp={}))
+
+
+class TestPhi:
+    def test_loop_carried_phis_pick_the_arm_of_the_predecessor(self):
+        # sum(range(5)) through two loop-carried phis; hand-built, since
+        # the frontend lowers locals through allocas instead.
+        out = GlobalVariable("out", I32)
+
+        def build(module, fn, b):
+            loop = fn.add_block("loop")
+            done = fn.add_block("done")
+            b.br(loop)
+            b.position_at_end(loop)
+            i = b.phi(I32)
+            acc = b.phi(I32)
+            i_next = b.add(i, Constant(I32, 1))
+            acc_next = b.add(acc, i)
+            i.add_incoming(Constant(I32, 0), fn.entry)
+            i.add_incoming(i_next, loop)
+            acc.add_incoming(Constant(I32, 0), fn.entry)
+            acc.add_incoming(acc_next, loop)
+            b.cond_br(b.icmp("ult", i_next, Constant(I32, 5)), loop, done)
+            b.position_at_end(done)
+            b.store(acc_next, out)
+            b.ret()
+
+        interp = Interpreter(_handler_module(build, [out]))
+        interp.run_packet(Packet(ip={}, tcp={}))
+        assert interp.global_value("out") == 10
+        assert interp.profile.block_counts["loop"] == 5
+
+
+class TestInterpErrors:
+    """Every runtime check the interpreter makes, on hand-built IR."""
+
+    def test_use_of_undefined_value(self):
+        def build(module, fn, b):
+            b.add(Argument(I32, "ghost", 3), Constant(I32, 1))
+            b.ret()
+
+        _run_expecting(_handler_module(build), "use of undefined value %ghost")
+
+    def test_load_through_null(self):
+        def build(module, fn, b):
+            b.load(Constant(PointerType(I32), 0))
+            b.ret()
+
+        _run_expecting(_handler_module(build), "load through bad pointer in entry")
+
+    def test_store_through_null(self):
+        def build(module, fn, b):
+            b.store(Constant(I32, 5), Constant(PointerType(I32), 0))
+            b.ret()
+
+        _run_expecting(_handler_module(build), "store through bad pointer in entry")
+
+    def test_gep_on_non_pointer(self):
+        point = StructType("point", (("x", I32), ("y", I32)))
+
+        def build(module, fn, b):
+            fake = b.cast("bitcast", Constant(I32, 7), PointerType(point))
+            b.gep(fake, ["y"])
+            b.ret()
+
+        _run_expecting(_handler_module(build), "GEP on non-pointer value")
+
+    def test_phi_in_entry_block(self):
+        def build(module, fn, b):
+            phi = b.phi(I32)
+            phi.add_incoming(Constant(I32, 1), fn.entry)
+            b.ret()
+
+        _run_expecting(_handler_module(build), "phi in entry block")
+
+    def test_phi_without_arm_for_predecessor(self):
+        def build(module, fn, b):
+            other = fn.add_block("other")
+            join = fn.add_block("join")
+            b.br(join)
+            b.position_at_end(other)
+            b.br(join)
+            b.position_at_end(join)
+            phi = b.phi(I32)
+            phi.add_incoming(Constant(I32, 1), other)
+            b.ret()
+
+        _run_expecting(
+            _handler_module(build),
+            "phi in join has no arm for predecessor entry",
+        )
+
+    def test_block_falls_through(self):
+        def build(module, fn, b):
+            b.add(Constant(I32, 1), Constant(I32, 2))
+
+        _run_expecting(
+            _handler_module(build), "block entry in @pkt_handler fell through"
+        )
+
+    def test_unknown_internal_callee(self):
+        def build(module, fn, b):
+            b.call("nosuch", [], VOID)
+            b.ret()
+
+        _run_expecting(_handler_module(build), "call to unknown function @nosuch")
+
+    def test_unimplemented_api(self):
+        counter = GlobalVariable("counter", I32)
+
+        def build(module, fn, b):
+            b.call("frobnicate", [counter], VOID, kind=CALL_KIND_API)
+            b.ret()
+
+        _run_expecting(
+            _handler_module(build, [counter]), "unimplemented API 'frobnicate'"
+        )
+
+    def test_runaway_loop_in_internal_callee(self):
+        def build(module, fn, b):
+            spin = module.add_function(Function("spin"))
+            loop = IRBuilder(spin, spin.add_block("entry"))
+            body = spin.add_block("loop")
+            loop.br(body)
+            loop.position_at_end(body)
+            loop.br(body)
+            b.call("spin", [], VOID)
+            b.ret()
+
+        _run_expecting(
+            _handler_module(build),
+            "step limit exceeded in @spin (1000 steps)",
+            max_steps=1000,
+        )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("name", ["mazunat", "cmsketch"])
+    def test_finished_interpreter_is_freed_by_refcount(self, name):
+        # Decoded closures must not tie the interpreter into a cycle:
+        # the daemon builds one per request and drops it after.
+        element = build_element(name)
+        interp = Interpreter(lower_element(element, inline=True))
+        install_state(interp, initial_state(element))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            interp.run_trace(Packet(ip={"src_addr": i}, tcp={}) for i in range(5))
+            ref = weakref.ref(interp)
+            del interp
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -69,6 +69,12 @@ class TestDivergences:
         assert d1 == pytest.approx(d2, abs=1e-9)
         assert 0.0 <= d1 <= np.log(2) + 1e-9
 
+    def test_js_of_proportional_inputs_is_exactly_zero(self):
+        # Rounding once made this pair -5.6e-17, failing the bound above.
+        d = metrics.jensen_shannon(np.array([1.0, 1.0, 1.0]),
+                                   np.array([0.01, 0.01, 0.01]))
+        assert d == 0.0
+
     @given(p=dist, q=dist)
     @settings(max_examples=30, deadline=None)
     def test_variational_bounded_by_two(self, p, q):

@@ -12,12 +12,14 @@ from repro.nfir.instructions import (
     Load,
     Select,
     Store,
+    binary_kernel,
     evaluate_binary,
     evaluate_icmp,
+    icmp_kernel,
     BINARY_OPCODES,
     ICMP_PREDICATES,
 )
-from repro.nfir.types import I1, I8, I16, I32, PointerType, StructType
+from repro.nfir.types import I1, I8, I16, I32, I64, IntType, PointerType, StructType
 from repro.nfir.values import Argument, Constant
 
 
@@ -160,3 +162,115 @@ class TestEvaluateICmp:
         gt = evaluate_icmp("ugt", I16, a, b)
         eq = evaluate_icmp("eq", I16, a, b)
         assert lt + gt + eq == 1
+
+
+def _reference_binary(opcode, type_, lhs, rhs):
+    """The straight-line definition the kernels replaced (oracle)."""
+    bits = type_.bits
+    mask = type_.max_unsigned()
+    lhs &= mask
+    rhs &= mask
+    if opcode == "add":
+        return (lhs + rhs) & mask
+    if opcode == "sub":
+        return (lhs - rhs) & mask
+    if opcode == "mul":
+        return (lhs * rhs) & mask
+    if opcode == "udiv":
+        return (lhs // rhs) & mask if rhs else 0
+    if opcode == "sdiv":
+        sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
+        if sr == 0:
+            return 0
+        q = abs(sl) // abs(sr)
+        if (sl < 0) != (sr < 0):
+            q = -q
+        return q & mask
+    if opcode == "urem":
+        return (lhs % rhs) & mask if rhs else 0
+    if opcode == "srem":
+        sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
+        if sr == 0:
+            return 0
+        r = abs(sl) % abs(sr)
+        if sl < 0:
+            r = -r
+        return r & mask
+    if opcode == "and":
+        return lhs & rhs
+    if opcode == "or":
+        return lhs | rhs
+    if opcode == "xor":
+        return lhs ^ rhs
+    if opcode == "shl":
+        return (lhs << (rhs % bits)) & mask
+    if opcode == "lshr":
+        return (lhs >> (rhs % bits)) & mask
+    if opcode == "ashr":
+        return type_.wrap(type_.to_signed(lhs) >> (rhs % bits))
+    raise AssertionError(opcode)
+
+
+def _reference_icmp(predicate, type_, lhs, rhs):
+    ul, ur = type_.wrap(lhs), type_.wrap(rhs)
+    sl, sr = type_.to_signed(lhs), type_.to_signed(rhs)
+    return int({
+        "eq": ul == ur, "ne": ul != ur,
+        "ult": ul < ur, "ule": ul <= ur, "ugt": ul > ur, "uge": ul >= ur,
+        "slt": sl < sr, "sle": sl <= sr, "sgt": sl > sr, "sge": sl >= sr,
+    }[predicate])
+
+
+#: in range, at the edges, past them, and negative.
+_EDGE_OPERANDS = (0, 1, 2, 3, 7, 8, 63, 64, 127, 128, 200, 255, 256, 300,
+                  -1, -2, -128, -129, -300, 2**31, 2**63, 2**64 + 5)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("type_", [I1, I8, I16, I32, I64])
+    @pytest.mark.parametrize("opcode", BINARY_OPCODES)
+    def test_binary_edges(self, opcode, type_):
+        for a in _EDGE_OPERANDS:
+            for b in _EDGE_OPERANDS:
+                got = evaluate_binary(opcode, type_, a, b)
+                assert got == _reference_binary(opcode, type_, a, b)
+                assert type(got) is int
+
+    @pytest.mark.parametrize("type_", [I1, I8, I16, I32, I64])
+    @pytest.mark.parametrize("predicate", ICMP_PREDICATES)
+    def test_icmp_edges(self, predicate, type_):
+        for a in _EDGE_OPERANDS:
+            for b in _EDGE_OPERANDS:
+                got = evaluate_icmp(predicate, type_, a, b)
+                assert got == _reference_icmp(predicate, type_, a, b)
+                assert type(got) is int
+
+    @given(
+        op=st.sampled_from(BINARY_OPCODES),
+        bits=st.sampled_from([1, 8, 16, 32, 64]),
+        a=st.integers(min_value=-(2**70), max_value=2**70),
+        b=st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_binary_any_int(self, op, bits, a, b):
+        type_ = {1: I1, 8: I8, 16: I16, 32: I32, 64: I64}[bits]
+        assert evaluate_binary(op, type_, a, b) == _reference_binary(op, type_, a, b)
+
+    @given(
+        pred=st.sampled_from(ICMP_PREDICATES),
+        bits=st.sampled_from([1, 8, 16, 32, 64]),
+        a=st.integers(min_value=-(2**70), max_value=2**70),
+        b=st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_icmp_any_int(self, pred, bits, a, b):
+        type_ = {1: I1, 8: I8, 16: I16, 32: I32, 64: I64}[bits]
+        assert evaluate_icmp(pred, type_, a, b) == _reference_icmp(pred, type_, a, b)
+
+    def test_kernels_are_shared_per_opcode_and_width(self):
+        assert binary_kernel("add", I32) is binary_kernel("add", IntType(32))
+        assert icmp_kernel("slt", I8) is icmp_kernel("slt", I8)
+
+    def test_unknown_opcode_and_predicate(self):
+        with pytest.raises(ValueError, match="unknown binary opcode"):
+            binary_kernel("pow", I8)
+        with pytest.raises(ValueError, match="unknown icmp predicate"):
+            icmp_kernel("lt", I8)

@@ -9,6 +9,7 @@ from repro.errors import ClaraError, InvalidWorkloadError, UnknownElementError
 from repro.serve.schemas import (
     REQUEST_KINDS,
     WIRE_SCHEMA,
+    WORKLOAD_CEILINGS,
     AnalyzeRequest,
     ColocationRequest,
     LintRequest,
@@ -42,6 +43,84 @@ class TestWorkloadWire:
     def test_spec_validation_still_applies(self):
         with pytest.raises(InvalidWorkloadError):
             workload_from_dict({"n_flows": 0})
+
+
+#: every malformed value a wire field can carry, with the field.
+BAD_WORKLOAD_FIELDS = [
+    ("n_packets", "5"),
+    ("n_packets", 2.5),
+    ("n_packets", True),
+    ("n_packets", None),
+    ("n_packets", 100_001),
+    ("n_flows", 10**12),
+    ("n_flows", 1_000_001),
+    ("n_flows", "10"),
+    ("payload_bytes", 9_001),
+    ("payload_bytes", 64.0),
+    ("packet_bytes", False),
+    ("zipf_alpha", "1.1"),
+    ("zipf_alpha", True),
+    ("zipf_alpha", None),
+    ("zipf_alpha", float("nan")),
+    ("syn_fraction", float("inf")),
+    ("udp_fraction", 10**400),
+    ("udp_fraction", [0.5]),
+    ("name", 7),
+    ("name", None),
+]
+
+BAD_TRACE_SEEDS = ["abc", None, -1, True, 2.5, "7", [1]]
+
+
+class TestWireTypesAndCeilings:
+    @pytest.mark.parametrize("field,value", BAD_WORKLOAD_FIELDS)
+    def test_bad_workload_field_is_typed(self, field, value):
+        with pytest.raises(InvalidWorkloadError, match=field):
+            workload_from_dict({field: value})
+
+    def test_ceilings_are_inclusive(self):
+        spec = workload_from_dict(
+            {name: ceiling for name, ceiling in WORKLOAD_CEILINGS.items()}
+        )
+        assert (spec.n_packets, spec.n_flows, spec.payload_bytes) == (
+            100_000, 1_000_000, 9_000
+        )
+
+    def test_largest_benchmark_request_is_admitted(self):
+        # The heaviest analyze request the serving benchmark sends.
+        spec = workload_from_dict({
+            "name": "small_flows", "n_flows": 200_000, "packet_bytes": 256,
+            "zipf_alpha": 0.6, "syn_fraction": 0.3, "udp_fraction": 0.0,
+            "payload_bytes": 128, "n_packets": 2000,
+        })
+        assert spec.n_packets == 2000
+
+    def test_integer_fractions_are_numbers(self):
+        spec = workload_from_dict({"zipf_alpha": 1, "udp_fraction": 1})
+        assert spec.zipf_alpha == 1 and spec.udp_fraction == 1
+
+    @pytest.mark.parametrize("seed", BAD_TRACE_SEEDS)
+    def test_bad_trace_seed_is_typed(self, seed):
+        for cls, body in (
+            (AnalyzeRequest, {"element": "aggcounter"}),
+            (ColocationRequest, {"elements": ["aggcounter", "udpcount"]}),
+        ):
+            with pytest.raises(ClaraError, match="trace_seed") as info:
+                cls.from_dict(dict(body, trace_seed=seed))
+            assert info.value.http_status == 400
+
+    def test_large_trace_seed_is_admitted(self):
+        req = AnalyzeRequest.from_dict(
+            {"element": "aggcounter", "trace_seed": 2**40}
+        )
+        assert req.trace_seed == 2**40
+
+    def test_colocation_workload_is_checked_too(self):
+        with pytest.raises(InvalidWorkloadError, match="n_packets"):
+            ColocationRequest.from_dict({
+                "elements": ["aggcounter", "udpcount"],
+                "workload": {"n_packets": 10**6},
+            })
 
 
 class TestAnalyzeRequest:

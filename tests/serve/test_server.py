@@ -287,6 +287,34 @@ class TestErrorMapping:
         assert status == 400
         assert body_json(body)["error"]["type"] == "InvalidWorkloadError"
 
+    def test_bad_wire_values_are_typed_400s(self, server):
+        # Each of these was a 500 (or unbounded work) before the schema
+        # checked JSON types and per-field ceilings.
+        pair = ["aggcounter", "udpcount"]
+        cases = [
+            ("/v1/analyze", {"element": "aggcounter", "trace_seed": "abc"}),
+            ("/v1/analyze", {"element": "aggcounter", "trace_seed": None}),
+            ("/v1/analyze", {"element": "aggcounter", "trace_seed": -1}),
+            ("/v1/analyze", {"element": "aggcounter",
+                             "workload": {"n_packets": "5"}}),
+            ("/v1/analyze", {"element": "aggcounter",
+                             "workload": {"n_packets": 2.5}}),
+            ("/v1/analyze", {"element": "aggcounter",
+                             "workload": {"n_flows": 10**12}}),
+            ("/v1/analyze", {"element": "aggcounter",
+                             "workload": {"payload_bytes": 9_001}}),
+            ("/v1/colocation", {"elements": pair, "trace_seed": True}),
+            ("/v1/colocation", {"elements": pair,
+                                "workload": {"n_packets": 100_001}}),
+        ]
+        for path, payload in cases:
+            status, _headers, body = http(server, path, payload=payload)
+            assert status == 400, payload
+            env = body_json(body)
+            assert env["result"] is None
+            assert env["error"]["type"] in ("ClaraError", "InvalidWorkloadError")
+            assert env["error"]["http_status"] == 400
+
     def test_unknown_workload_field_is_400(self, server):
         status, _headers, body = http(server, "/v1/analyze", payload={
             "element": "aggcounter", "workload": {"n_flowz": 7},
