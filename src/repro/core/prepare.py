@@ -2,8 +2,10 @@
 
 ``llir <- LLVMBYTECODE(prog); cfg <- GETCFG(llir); api_set <- GETAPI;
 nf_blocks <- GETCODEBLOCK(cfg)`` — lower the unported element to NFIR,
-extract the CFG, collect the framework API set, and annotate every
-block's instructions by category.
+collect the framework API set, and annotate every block's instructions
+by category.  ``GETCFG`` needs no separate graph: the CFG is the
+handler's blocks and their successor lists, which the loop queries of
+:mod:`repro.nfir.cfg` read directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, List, Optional
 from repro.click.ast import ElementDef
 from repro.click.frontend import lower_element
 from repro.nfir.annotate import AnnotatedBlock, ModuleAnnotation, annotate_module
-from repro.nfir.cfg import build_cfg
 from repro.nfir.function import Module
 from repro.ml.encoding import block_tokens
 
@@ -26,7 +27,6 @@ class PreparedNF:
 
     element: Optional[ElementDef]
     module: Module
-    cfg: "nx.DiGraph"
     annotation: ModuleAnnotation
     #: per-block abstracted token sequences (vocabulary-compacted).
     tokens: Dict[str, List[str]] = field(default_factory=dict)
@@ -50,16 +50,13 @@ class PreparedNF:
 def prepare_module(module: Module, element: Optional[ElementDef] = None) -> PreparedNF:
     """Prepare an already-lowered module."""
     annotation = annotate_module(module)
-    handler = module.handler
-    cfg = build_cfg(handler)
     tokens = {
         block.name: block_tokens(block, compact=True)
-        for block in handler.blocks
+        for block in module.handler.blocks
     }
     return PreparedNF(
         element=element,
         module=module,
-        cfg=cfg,
         annotation=annotation,
         tokens=tokens,
     )

@@ -30,6 +30,7 @@ __all__ = [
     "LINT_EXIT_ERROR",
     "LINT_EXIT_WARNING",
     "NotTrainedError",
+    "RequestTooLargeError",
     "UnknownElementError",
     "UnknownTargetError",
     "http_status_for",
@@ -94,6 +95,14 @@ class ArtifactCacheMiss(ArtifactError):
     http_status = 503
 
 
+class RequestTooLargeError(ClaraError):
+    """A request to ``clara serve`` declares a body over the daemon's
+    size limit."""
+
+    exit_code = 13
+    http_status = 413
+
+
 #: ``clara lint`` exit statuses (not exceptions — lint findings are a
 #: result, not a failure): 0 means clean or notes only,
 #: :data:`LINT_EXIT_WARNING` means warnings but no errors, and
@@ -124,6 +133,7 @@ EXIT_CODES = {
         NotTrainedError,
         ArtifactError,
         ArtifactCacheMiss,
+        RequestTooLargeError,
     )
 }
 
@@ -141,6 +151,7 @@ HTTP_STATUSES = {
         NotTrainedError,
         ArtifactError,
         ArtifactCacheMiss,
+        RequestTooLargeError,
     )
 }
 

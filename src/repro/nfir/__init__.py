@@ -47,7 +47,7 @@ from repro.nfir.function import Function, GlobalVariable, Module
 from repro.nfir.builder import IRBuilder
 from repro.nfir.printer import print_function, print_instruction, print_module
 from repro.nfir.parser import parse_module
-from repro.nfir.cfg import build_cfg, reverse_postorder
+from repro.nfir.cfg import reverse_postorder
 from repro.nfir.verifier import VerificationError, verify_function, verify_module
 from repro.nfir.inliner import inline_internal_calls
 from repro.nfir.annotate import (
@@ -108,7 +108,6 @@ __all__ = [
     "print_instruction",
     "print_module",
     "parse_module",
-    "build_cfg",
     "reverse_postorder",
     "VerificationError",
     "verify_function",

@@ -3,9 +3,10 @@
 Implements the Cooper-Harvey-Kennedy iterative algorithm ("A Simple,
 Fast Dominance Algorithm") over the function's basic blocks directly —
 no graph library needed — and exposes O(1) ``dominates`` queries via a
-DFS interval numbering of the tree.  This is the shared foundation the
-verifier's SSA checks, the loop analyses in :mod:`repro.nfir.cfg`, and
-the lint passes all build on.
+DFS interval numbering of the tree.  Its predecessor lists,
+reachability and reverse postorder are the CFG every other analysis
+reads: the verifier's SSA checks, the natural loops and block order of
+:mod:`repro.nfir.cfg`, and the lint passes all build on this module.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class DominatorTree:
     """The dominator tree of a function's CFG.
 
     Only blocks reachable from the entry participate; unreachable
-    blocks are reported via :attr:`reachable` and every ``dominates``
-    query involving one returns ``False``.
+    blocks are absent from :attr:`reachable` and :attr:`rpo` (the
+    reachable block names in reverse postorder), and every
+    ``dominates`` query involving one returns ``False``.
     """
 
     def __init__(self, function: Function) -> None:
@@ -56,7 +58,7 @@ class DominatorTree:
             if not advanced:
                 postorder.append(block.name)
                 stack.pop()
-        rpo = list(reversed(postorder))
+        rpo = self.rpo = postorder[::-1]
         self.reachable: Set[str] = set(rpo)
         self._rpo_index: Dict[str, int] = {name: i for i, name in enumerate(rpo)}
 

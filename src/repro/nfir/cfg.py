@@ -1,84 +1,54 @@
-"""Control-flow graph utilities built on networkx.
+"""Control-flow queries over an NFIR function's basic blocks.
 
 Clara extracts the CFG during program preparation (Section 3.1) and the
 LSTM predictor operates per basic block; the scale-out/coalescing
 analyses additionally need block execution frequencies, which the
-ClickScript interpreter records against these same block names.
+ClickScript interpreter records against these same block names.  The
+graph is the blocks' own successor lists: predecessors, reachability
+and the reverse postorder come from
+:mod:`repro.nfir.analysis.dominance`, so no graph object is built.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
-import networkx as nx
-
-from repro.nfir.analysis.dominance import DominatorTree
+from repro.nfir.analysis.dominance import DominatorTree, block_predecessors
 from repro.nfir.block import BasicBlock
 from repro.nfir.function import Function
 
 
-def build_cfg(function: Function) -> "nx.DiGraph":
-    """Build a directed graph whose nodes are block names."""
-    graph = nx.DiGraph()
-    for block in function.blocks:
-        graph.add_node(block.name, block=block)
-    for block in function.blocks:
-        for successor in block.successors():
-            graph.add_edge(block.name, successor.name)
-    return graph
-
-
 def reverse_postorder(function: Function) -> List[BasicBlock]:
     """Blocks in reverse postorder from the entry (a topological-ish
-    order that visits definitions before most uses)."""
-    graph = build_cfg(function)
-    order = list(nx.dfs_postorder_nodes(graph, source=function.entry.name))
-    order.reverse()
-    by_name = {b.name: b for b in function.blocks}
-    visited = [by_name[name] for name in order if name in by_name]
-    # Unreachable blocks go last, in layout order.
-    seen: Set[str] = {b.name for b in visited}
-    visited.extend(b for b in function.blocks if b.name not in seen)
-    return visited
-
-
-def reachable_blocks(function: Function) -> Set[str]:
-    graph = build_cfg(function)
-    return set(nx.descendants(graph, function.entry.name)) | {function.entry.name}
-
-
-def loop_headers(function: Function) -> Set[str]:
-    """Names of blocks that head a natural loop (targets of back edges)."""
-    graph = build_cfg(function)
+    order that visits definitions before most uses).  Unreachable
+    blocks go last, in layout order."""
     tree = DominatorTree(function)
-    return {
-        dst for src, dst in graph.edges if tree.dominates(dst, src)
-    }
+    by_name = {b.name: b for b in function.blocks}
+    return [by_name[name] for name in tree.rpo] + [
+        b for b in function.blocks if b.name not in tree.reachable
+    ]
 
 
 def natural_loops(function: Function) -> Dict[str, Set[str]]:
     """Natural loop membership: header block name -> set of block
     names in the loop (header included).  Loops sharing a header are
-    merged, nested loops appear under their own headers too."""
-    graph = build_cfg(function)
+    merged, nested loops appear under their own headers too.  Headers
+    are keyed in the order their first back edge is met, walking blocks
+    in layout order and each block's distinct successors in branch
+    order."""
     tree = DominatorTree(function)
+    preds = block_predecessors(function)
     loops: Dict[str, Set[str]] = {}
-    for src, dst in graph.edges:
-        if not tree.dominates(dst, src):
-            continue
-        body = loops.setdefault(dst, {dst})
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node in body:
+    for block in function.blocks:
+        for header in dict.fromkeys(s.name for s in block.successors()):
+            if not tree.dominates(header, block.name):
                 continue
-            body.add(node)
-            stack.extend(graph.predecessors(node))
+            body = loops.setdefault(header, {header})
+            stack = [block.name]
+            while stack:
+                name = stack.pop()
+                if name in body:
+                    continue
+                body.add(name)
+                stack.extend(p.name for p in preds[name])
     return loops
-
-
-def block_depths(function: Function) -> Dict[str, int]:
-    """Shortest-path depth of each reachable block from the entry."""
-    graph = build_cfg(function)
-    lengths = nx.single_source_shortest_path_length(graph, function.entry.name)
-    return dict(lengths)

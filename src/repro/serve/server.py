@@ -48,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ClaraError, http_status_for
+from repro.errors import ClaraError, RequestTooLargeError, http_status_for
 from repro.obs import (
     RequestContext,
     Tracer,
@@ -81,6 +81,10 @@ log = get_logger(__name__)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8787
+#: largest request body the daemon reads; a longer declared
+#: ``Content-Length`` is a 413 before any byte is read.  Real bodies
+#: are a few KB (the largest, a lint request carrying a baseline).
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f" got {declared!r}"
             )
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            raise RequestTooLargeError(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ClaraError("empty request body (expected JSON)")

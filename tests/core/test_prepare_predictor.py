@@ -27,10 +27,6 @@ class TestPrepare:
         assert "hashmap_find" in prepared.api_set
         assert "checksum_update_ip" in prepared.api_set
 
-    def test_cfg_matches_blocks(self):
-        prepared = prepare_element(build_element("firewall"))
-        assert set(prepared.cfg.nodes) == {b.name for b in prepared.blocks}
-
     def test_helpers_inlined_before_analysis(self):
         prepared = prepare_element(build_element("cmsketch"))
         assert any(b.name.startswith("inl.") for b in prepared.module.handler.blocks)

@@ -9,7 +9,7 @@ from repro.click.elements import all_elements, build_element
 from repro.click.frontend import lower_element
 from repro.click.interp import Interpreter
 from repro.nfir import parse_module, print_module
-from repro.nfir.cfg import reachable_blocks
+from repro.nfir.analysis.dominance import DominatorTree
 from repro.nic.compiler import compile_module
 from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.nic.port import CoalescePack, PortConfig
@@ -104,7 +104,7 @@ class TestInterpreterInvariants:
         interp = Interpreter(module)
         spec = WorkloadSpec(name="t", n_flows=10, n_packets=40)
         interp.run_trace(generate_trace(spec, seed=1))
-        reachable = reachable_blocks(module.handler)
+        reachable = DominatorTree(module.handler).reachable
         executed = {
             b for b, c in interp.profile.block_counts.items() if c > 0
         }

@@ -7,13 +7,13 @@ from repro.nfir import (
     IRBuilder,
     Module,
     I32,
-    build_cfg,
     reverse_postorder,
     verify_function,
     verify_module,
     VerificationError,
 )
-from repro.nfir.cfg import block_depths, loop_headers, reachable_blocks
+from repro.nfir.analysis.dominance import DominatorTree, block_predecessors
+from repro.nfir.cfg import natural_loops
 from repro.nfir.values import Constant
 
 
@@ -60,9 +60,10 @@ def loop_function():
 
 class TestCFG:
     def test_diamond_edges(self):
-        g = build_cfg(diamond_function())
-        assert set(g.successors("entry")) == {"left", "right"}
-        assert set(g.predecessors("merge")) == {"left", "right"}
+        f = diamond_function()
+        assert {b.name for b in f.entry.successors()} == {"left", "right"}
+        preds = block_predecessors(f)
+        assert {b.name for b in preds["merge"]} == {"left", "right"}
 
     def test_reverse_postorder_starts_at_entry(self):
         order = reverse_postorder(diamond_function())
@@ -70,20 +71,15 @@ class TestCFG:
         assert order[-1].name == "merge"
 
     def test_loop_headers(self):
-        assert loop_headers(loop_function()) == {"header"}
-        assert loop_headers(diamond_function()) == set()
-
-    def test_block_depths(self):
-        depths = block_depths(diamond_function())
-        assert depths["entry"] == 0
-        assert depths["left"] == depths["right"] == 1
-        assert depths["merge"] == 2
+        assert natural_loops(loop_function()) == {"header": {"header", "body"}}
+        assert natural_loops(diamond_function()) == {}
 
     def test_reachable_blocks(self):
         f = diamond_function()
         dead = f.add_block("dead")
         IRBuilder(f, dead).ret()
-        assert "dead" not in reachable_blocks(f)
+        assert "dead" not in DominatorTree(f).reachable
+        assert reverse_postorder(f)[-1].name == "dead"
 
 
 class TestVerifier:

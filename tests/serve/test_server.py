@@ -11,6 +11,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+import uuid
 
 import pytest
 
@@ -82,6 +83,31 @@ def poll_journal(timeout_s=5.0, **filters):
         time.sleep(0.02)
         events = get_journal().snapshot(**filters)
     return events
+
+
+def wait_for_journaled_requests(timeout_s=5.0):
+    """Wait until every journaled ``request_start`` has its
+    ``request_finish``.  A request records its histogram and SLO
+    samples after its response is sent but before its finish event, so
+    afterwards no earlier request can still add one."""
+    import time
+    from collections import Counter
+
+    from repro.obs.events import get_journal
+
+    deadline = time.monotonic() + timeout_s
+    while True:
+        pending = Counter()
+        for event in get_journal().snapshot():
+            if event.kind == "request_start":
+                pending[event.request_id] += 1
+            elif event.kind == "request_finish" and pending[event.request_id]:
+                pending[event.request_id] -= 1
+        pending = +pending
+        if not pending:
+            return
+        assert time.monotonic() < deadline, f"requests still open: {pending}"
+        time.sleep(0.02)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +374,15 @@ class TestErrorMapping:
         assert status == 400
         assert "Content-Length" in env["error"]["message"]
 
+    def test_oversized_content_length_is_413(self, server):
+        # Read uncapped, a declared gigabyte that never arrives holds
+        # the handler thread until the client's socket timeout fires.
+        status, env = post_with_content_length(server, str(2**30))
+        assert status == 413
+        assert env["error"]["type"] == "RequestTooLargeError"
+        assert env["error"]["http_status"] == 413
+        assert http(server, "/healthz")[0] == 200
+
     def test_unknown_request_field_is_400(self, server):
         status, _headers, body = http(server, "/v1/analyze", payload={
             "element": "aggcounter", "elemnt_typo": 1,
@@ -470,6 +505,7 @@ class TestOneClock:
             MetricsRegistry,
             SloTracker,
             Tracer,
+            current_request_id,
             set_metrics,
             set_slo_tracker,
         )
@@ -486,14 +522,21 @@ class TestOneClock:
 
         class KeptSlo(SloTracker):
             def observe(self, endpoint, duration_s, status=200, now=None):
-                samples.append((endpoint, duration_s, status))
+                samples.append(
+                    (current_request_id(), endpoint, duration_s, status)
+                )
                 super().observe(endpoint, duration_s, status, now)
 
         monkeypatch.setattr(server_module, "Tracer", KeptTracer)
+        # The tracker and registry are process-global: an earlier
+        # request still finishing would record into the swapped-in ones.
+        wait_for_journaled_requests()
         registry = MetricsRegistry()
         previous_metrics = set_metrics(registry)
         previous_slo = set_slo_tracker(KeptSlo())
-        rid = f"one-clock-{expected}"
+        # Unique per run: a repeated run must not find an earlier
+        # run's finish event in the process-wide journal.
+        rid = f"one-clock-{expected}-{uuid.uuid4().hex}"
         try:
             status, _headers, _body = http(
                 server, path, raw=raw, headers={"X-Clara-Request-Id": rid}
@@ -507,7 +550,9 @@ class TestOneClock:
                    if tracer.roots[0].attrs["request_id"] == rid]
         assert root.name == "http_request"
         duration_s = root.duration_s
-        assert samples == [(path, duration_s, expected)]
+        assert [sample[1:] for sample in samples if sample[0] == rid] == [
+            (path, duration_s, expected)
+        ]
         hist = registry.to_dict()[f'http_request_seconds{{endpoint="{path}"}}']
         assert hist["count"] == 1
         assert hist["sum"] == duration_s

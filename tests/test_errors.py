@@ -9,6 +9,7 @@ from repro.errors import (
     ClaraError,
     InvalidWorkloadError,
     NotTrainedError,
+    RequestTooLargeError,
     UnknownElementError,
 )
 
@@ -16,7 +17,8 @@ from repro.errors import (
 class TestHierarchy:
     def test_all_derive_from_clara_error(self):
         for cls in (UnknownElementError, InvalidWorkloadError,
-                    NotTrainedError, ArtifactError, ArtifactCacheMiss):
+                    NotTrainedError, ArtifactError, ArtifactCacheMiss,
+                    RequestTooLargeError):
             assert issubclass(cls, ClaraError)
 
     def test_builtin_compatibility(self):
@@ -139,8 +141,10 @@ class TestHttpStatusMapping:
         assert HTTP_STATUSES["NotTrainedError"] == 503
         assert HTTP_STATUSES["ArtifactError"] == 500
         assert HTTP_STATUSES["ArtifactCacheMiss"] == 503
+        assert HTTP_STATUSES["RequestTooLargeError"] == 413
         for cls in (UnknownElementError, InvalidWorkloadError,
-                    NotTrainedError, ArtifactError, ArtifactCacheMiss):
+                    NotTrainedError, ArtifactError, ArtifactCacheMiss,
+                    RequestTooLargeError):
             assert http_status_for(cls("x")) == HTTP_STATUSES[cls.__name__]
 
     def test_base_clara_error_is_client_fault(self):
