@@ -30,6 +30,7 @@ __all__ = [
     "LINT_EXIT_ERROR",
     "LINT_EXIT_WARNING",
     "NotTrainedError",
+    "RequestTimeoutError",
     "RequestTooLargeError",
     "UnknownElementError",
     "UnknownTargetError",
@@ -103,6 +104,14 @@ class RequestTooLargeError(ClaraError):
     http_status = 413
 
 
+class RequestTimeoutError(ClaraError):
+    """A ``clara serve`` client stopped sending a declared request body
+    for longer than the daemon's socket timeout."""
+
+    exit_code = 14
+    http_status = 408
+
+
 #: ``clara lint`` exit statuses (not exceptions — lint findings are a
 #: result, not a failure): 0 means clean or notes only,
 #: :data:`LINT_EXIT_WARNING` means warnings but no errors, and
@@ -134,6 +143,7 @@ EXIT_CODES = {
         ArtifactError,
         ArtifactCacheMiss,
         RequestTooLargeError,
+        RequestTimeoutError,
     )
 }
 
@@ -152,6 +162,7 @@ HTTP_STATUSES = {
         ArtifactError,
         ArtifactCacheMiss,
         RequestTooLargeError,
+        RequestTimeoutError,
     )
 }
 

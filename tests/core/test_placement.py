@@ -9,7 +9,6 @@ from repro.core.placement import (
     PlacementProblem,
     expert_search,
     solve_baseline,
-    solve_greedy,
     solve_ilp,
 )
 
@@ -49,20 +48,6 @@ class TestIlp:
         sol = solve_ilp(p)
         assert sol.expected_cost == 0.0
 
-    def test_ilp_no_worse_than_greedy(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            k = int(rng.integers(2, 7))
-            sizes = (rng.integers(1, 200, size=k) * 1024).tolist()
-            freqs = rng.uniform(0.0, 8.0, size=k).tolist()
-            names = [f"s{i}" for i in range(k)]
-            p = problem(names, sizes, freqs)
-            ilp = solve_ilp(p)
-            greedy = solve_greedy(p)
-            assert ilp.expected_cost <= greedy.expected_cost + 1e-6
-
     @given(
         k=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=100),
@@ -93,11 +78,6 @@ class TestBaselineAndGreedy:
     def test_ilp_beats_baseline(self):
         p = problem(["a", "b"], [64, 64], [1.0, 2.0])
         assert solve_ilp(p).expected_cost < solve_baseline(p).expected_cost
-
-    def test_greedy_orders_by_heat_density(self):
-        p = problem(["warm_big", "hot_small"], [60 * 1024, 512], [5.0, 4.0])
-        sol = solve_greedy(p)
-        assert sol.assignment["hot_small"] == "cls"
 
 
 class TestExpertSearch:

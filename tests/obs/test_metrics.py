@@ -239,12 +239,12 @@ class TestSpanHistograms:
                          DEFAULT_BUCKETS),
         "predict_model": ("predict_latency_seconds", LATENCY_BUCKETS),
         "placement_solve": (
-            'placement_solve_latency_seconds{method="greedy"}',
+            'placement_solve_latency_seconds{method="ilp"}',
             LATENCY_BUCKETS,
         ),
         "kmeans_fit": ("kmeans_fit_latency_seconds", LATENCY_BUCKETS),
     }
-    ATTRS = {"endpoint": "/healthz", "fn": "job", "method": "greedy"}
+    ATTRS = {"endpoint": "/healthz", "fn": "job", "method": "ilp"}
 
     @pytest.fixture
     def reg(self):

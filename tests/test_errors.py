@@ -9,6 +9,7 @@ from repro.errors import (
     ClaraError,
     InvalidWorkloadError,
     NotTrainedError,
+    RequestTimeoutError,
     RequestTooLargeError,
     UnknownElementError,
 )
@@ -18,7 +19,7 @@ class TestHierarchy:
     def test_all_derive_from_clara_error(self):
         for cls in (UnknownElementError, InvalidWorkloadError,
                     NotTrainedError, ArtifactError, ArtifactCacheMiss,
-                    RequestTooLargeError):
+                    RequestTooLargeError, RequestTimeoutError):
             assert issubclass(cls, ClaraError)
 
     def test_builtin_compatibility(self):
@@ -142,9 +143,10 @@ class TestHttpStatusMapping:
         assert HTTP_STATUSES["ArtifactError"] == 500
         assert HTTP_STATUSES["ArtifactCacheMiss"] == 503
         assert HTTP_STATUSES["RequestTooLargeError"] == 413
+        assert HTTP_STATUSES["RequestTimeoutError"] == 408
         for cls in (UnknownElementError, InvalidWorkloadError,
                     NotTrainedError, ArtifactError, ArtifactCacheMiss,
-                    RequestTooLargeError):
+                    RequestTooLargeError, RequestTimeoutError):
             assert http_status_for(cls("x")) == HTTP_STATUSES[cls.__name__]
 
     def test_base_clara_error_is_client_fault(self):
