@@ -286,7 +286,7 @@ def _cmd_analyze_all(args, spec) -> int:
         clara = Clara(seed=args.seed, target=name).train(
             TrainConfig.quick(), workers=args.workers, cache=args.cache
         )
-        cache = _apply_predictor_flags(clara, args)
+        cache = _apply_predict_cache(clara, args)
         if cache is not None:
             caches.append(cache)
         claras[name] = clara
@@ -314,11 +314,10 @@ def _cmd_analyze_all(args, spec) -> int:
     return 0
 
 
-def _apply_predictor_flags(clara, args) -> "Any":
-    """Apply ``--predictor-mode`` / ``--predict-cache`` to a trained
-    Clara; returns the attached cache (or ``None``) so the caller can
-    flush it after the run."""
-    clara.predictor.predictor_mode = args.predictor_mode
+def _apply_predict_cache(clara, args) -> "Any":
+    """Apply ``--predict-cache`` to a trained Clara; returns the
+    attached cache (or ``None``) so the caller can flush it after the
+    run."""
     if args.predict_cache == "auto":
         from repro.core.artifacts import ArtifactCache
 
@@ -331,7 +330,7 @@ def cmd_analyze(args) -> int:
     if args.target == "all":
         return _cmd_analyze_all(args, spec)
     clara = _obtain_clara(args)
-    cache = _apply_predictor_flags(clara, args)
+    cache = _apply_predict_cache(clara, args)
     analysis = clara.analyze(args.element, spec)
     config = clara.port_config(analysis)
     if cache is not None:
@@ -526,7 +525,6 @@ def cmd_serve(args) -> int:
         colocation_programs=args.colocation_programs,
         colocation_groups=args.colocation_groups,
         predict_cache=args.predict_cache == "on",
-        predictor_mode=args.predictor_mode,
         slow_request_ms=args.slow_request_ms,
         slow_trace_dir=args.slow_trace_dir,
         slo_window_s=args.slo_window_s,
@@ -747,13 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 " persists block predictions in the"
                                 " artifact cache across runs (default off;"
                                 " results are bit-identical either way)")
-    p_analyze.add_argument("--predictor-mode",
-                           choices=("lstm", "distilled", "auto"),
-                           default="lstm",
-                           help="serving mode: lstm (exact sequence model),"
-                                " distilled (GBDT fast path), or auto"
-                                " (distilled where confident, LSTM"
-                                " fallback elsewhere; default lstm)")
 
     p_sweep = sub.add_parser("sweep", help="core-count sweep",
                              parents=[workload, target, obs])
@@ -794,11 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="in-memory content-addressed prediction"
                               " cache for repeat analyzes (default on;"
                               " responses are byte-identical either way)")
-    p_serve.add_argument("--predictor-mode",
-                         choices=("lstm", "distilled", "auto"),
-                         default="lstm",
-                         help="predictor serving mode (see analyze"
-                              " --predictor-mode; default lstm)")
     p_serve.add_argument("--slow-request-ms", type=float, default=5000.0,
                          help="requests slower than this capture their"
                               " full span tree into the event journal"

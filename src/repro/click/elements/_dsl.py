@@ -61,10 +61,6 @@ def ge(a: ExprLike, b: ExprLike) -> C.CmpExpr:
     return C.CmpExpr(">=", e(a), e(b))
 
 
-def not_(a: ExprLike) -> C.NotExpr:
-    return C.NotExpr(e(a))
-
-
 def and_(a: ExprLike, b: ExprLike) -> C.BinExpr:
     return C.BinExpr("and", e(a), e(b))
 
@@ -131,10 +127,6 @@ def brk() -> C.BreakStmt:
     return C.BreakStmt()
 
 
-def cont() -> C.ContinueStmt:
-    return C.ContinueStmt()
-
-
 # declarations --------------------------------------------------------------
 
 def struct(name: str, *fields: tuple) -> C.StructDef:
@@ -147,10 +139,6 @@ def scalar_state(name: str, type_: str = "u32") -> C.StateDecl:
 
 def array_state(name: str, type_: str, entries: int) -> C.StateDecl:
     return C.StateDecl(name, "array", value_type=type_, entries=entries)
-
-
-def struct_state(name: str, struct_name: str) -> C.StateDecl:
-    return C.StateDecl(name, "struct", value_type=struct_name)
 
 
 def hashmap_state(

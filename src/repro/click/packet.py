@@ -102,13 +102,6 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 
-def _field_width(header: str, name: str) -> int:
-    for fname, bits in _HEADER_LAYOUTS[header]:
-        if fname == name:
-            return bits
-    raise KeyError(f"{header} header has no field {name!r}")
-
-
 @dataclass
 class Packet:
     """Runtime packet for the interpreter and the workload generator.

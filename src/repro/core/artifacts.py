@@ -60,7 +60,7 @@ ARTIFACT_FORMAT = 1
 #: Code-relevant version tag.  Part of every cache key: bump it when
 #: the synthesis pipeline, model architectures, or state_dict layouts
 #: change in a way that invalidates previously trained weights.
-ARTIFACT_VERSION = "clara-artifacts-2"
+ARTIFACT_VERSION = "clara-artifacts-3"
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CLARA_CACHE"
@@ -241,9 +241,9 @@ class PredictionCache:
 
     Maps ``sequence_key(block tokens)`` to the predicted instruction
     count, valid only within one ``namespace`` — a hash of the model
-    fingerprint, the predictor mode, and the target fingerprint (see
+    fingerprint and the target fingerprint (see
     ``InstructionPredictor.prediction_namespace``), so predictions
-    never leak across retrained weights, modes, or NIC targets.
+    never leak across retrained weights or NIC targets.
 
     Lookups and inserts hit an in-memory dict; pass ``store`` (an
     :class:`ArtifactCache`) to additionally page the map in from disk

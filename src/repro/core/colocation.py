@@ -373,12 +373,6 @@ class ColocationAdvisor:
         X = np.stack([pair_features(a, b) for a, b in pairs])
         return list(self.ranker.rank(X))
 
-    def score_pairs(
-        self, pairs: Sequence[Tuple[NFCandidate, NFCandidate]]
-    ) -> np.ndarray:
-        X = np.stack([pair_features(a, b) for a, b in pairs])
-        return self.ranker.score(X)
-
 
 def ranking_accuracy(
     losses_per_query: Sequence[Sequence[float]],

@@ -103,14 +103,6 @@ class InsightReport:
     def placement(self) -> Dict[str, str]:
         return {i.subject: str(i.value) for i in self.of_type("placement")}
 
-    @property
-    def lint_errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
-
-    @property
-    def lint_warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
-
     # -- stable serialization (schema versioned, documented) -----------
     def to_dict(self) -> Dict[str, Any]:
         """The stable JSON layout: ``{"schema": 2, "kind":

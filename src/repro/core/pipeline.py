@@ -214,11 +214,6 @@ class Clara:
                 self.predictor.fit(dataset)
                 sp.set("vocab_size", self.predictor.vocab.size)
                 sp.set("epochs", config.predictor_epochs)
-            with span("distill_predictor") as sp:
-                # GBDT fast path imitating the fitted LSTM over the
-                # same corpus (--predictor-mode distilled/auto).
-                self.predictor.distill(dataset)
-                sp.set("threshold", self.predictor.distilled.threshold)
             with span("build_algorithm_corpus") as sp:
                 corpus = build_algorithm_corpus(
                     seed=self.seed, n_negatives=config.n_negatives

@@ -28,7 +28,6 @@ from repro.core.insights import InsightReport
 from repro.errors import NotTrainedError
 from repro.core.parallel import synthesize_predictor_rows
 from repro.core.prepare import PreparedNF
-from repro.ml.distill import ConfidenceGatedGBDT
 from repro.ml.encoding import (
     InstructionVocabulary,
     encode_block_ids,
@@ -41,17 +40,11 @@ from repro.nic.compiler import compile_module
 from repro.nic.isa import NICProgram
 from repro.nic.libnfp import api_cost
 from repro.nic.port import PortConfig
-from repro.obs import get_metrics, span
+from repro.obs import span
 from repro.synthesis.stats import extract_stats
 
 #: Sequence length cap for block encodings (longer blocks truncate).
 MAX_BLOCK_LEN = 112
-
-#: Serving modes: ``lstm`` always runs the sequence model;
-#: ``distilled`` always serves the distilled GBDT student; ``auto``
-#: serves the student only where its error model is confident and
-#: falls back to the LSTM elsewhere.
-PREDICTOR_MODES = ("lstm", "distilled", "auto")
 
 
 def iter_block_samples(prepared: PreparedNF, program: NICProgram):
@@ -157,13 +150,7 @@ class InstructionPredictor:
         self.seed = seed
         self.vocab = InstructionVocabulary()
         self.model: Optional[LSTMRegressor] = None
-        #: distilled GBDT fast path (``None`` until :meth:`distill`);
-        #: part of :meth:`state_dict` — it is learned state.
-        self.distilled: Optional[ConfidenceGatedGBDT] = None
-        self._predictor_mode: str = "lstm"
         self._prediction_cache: Optional[PredictionCache] = None
-        self._cache_store: Optional[ArtifactCache] = None
-        self._cache_nic: Any = None
         #: optional serving-time indirection: when set, every
         #: :meth:`predict_sequences` call routes through it instead of
         #: running the model directly (the serve broker installs one to
@@ -185,44 +172,7 @@ class InstructionPredictor:
         self.model.fit(X, mask, y, epochs=self.epochs, seed=self.seed)
         return self
 
-    def distill(self, dataset: PredictorDataset) -> "InstructionPredictor":
-        """Train the GBDT fast path to imitate the fitted LSTM over
-        ``dataset`` (typically the synthesis corpus the LSTM itself was
-        trained on).  The teacher signal is the LSTM's *served outputs*
-        — chunked long blocks included — so the student approximates
-        exactly the function :meth:`predict_direct` serves."""
-        if self.model is None:
-            raise NotTrainedError("fit the predictor before distilling")
-        sequences = [list(seq) for seq in dataset.sequences]
-        teacher = self._predict_uncached(sequences, mode="lstm")
-        features = histogram_features(self.vocab, sequences)
-        self.distilled = ConfidenceGatedGBDT.distill(
-            features, np.log1p(np.maximum(teacher, 0.0)), seed=self.seed
-        )
-        return self
-
-    # -- serving mode and prediction cache -----------------------------
-    @property
-    def predictor_mode(self) -> str:
-        return self._predictor_mode
-
-    @predictor_mode.setter
-    def predictor_mode(self, value: str) -> None:
-        if value not in PREDICTOR_MODES:
-            raise ValueError(
-                f"predictor_mode must be one of {PREDICTOR_MODES}, "
-                f"got {value!r}"
-            )
-        if value == self._predictor_mode:
-            return
-        self._predictor_mode = value
-        if self._prediction_cache is not None:
-            # The mode is part of the cache namespace — re-attach so
-            # stale entries from the previous mode cannot be served.
-            self.attach_prediction_cache(
-                store=self._cache_store, nic=self._cache_nic
-            )
-
+    # -- prediction cache ----------------------------------------------
     def model_fingerprint(self) -> str:
         """Content hash of the fitted weights + vocabulary + encoding
         geometry: two predictors with identical fingerprints produce
@@ -246,17 +196,13 @@ class InstructionPredictor:
         return digest.hexdigest()[:24]
 
     def prediction_namespace(self, nic: Any = None) -> str:
-        """Cache namespace: model fingerprint x predictor mode (plus
-        the distilled model's fingerprint when it can serve) x target
-        fingerprint.  Any change to what a token sequence would predict
-        lands in a fresh namespace."""
-        payload: dict = {
+        """Cache namespace: model fingerprint x target fingerprint.
+        Any change to what a token sequence would predict lands in a
+        fresh namespace."""
+        payload = {
             "model": self.model_fingerprint(),
-            "mode": self.predictor_mode,
             "nic": _nic_fingerprint(nic),
         }
-        if self.predictor_mode != "lstm" and self.distilled is not None:
-            payload["distilled"] = self.distilled.fingerprint()
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
@@ -270,8 +216,6 @@ class InstructionPredictor:
         ``store`` to page the namespace in from disk and allow
         :meth:`~repro.core.artifacts.PredictionCache.flush`; ``nic``
         scopes the namespace to a target."""
-        self._cache_store = store
-        self._cache_nic = nic
         self._prediction_cache = PredictionCache(
             self.prediction_namespace(nic), store=store
         )
@@ -279,8 +223,6 @@ class InstructionPredictor:
 
     def detach_prediction_cache(self) -> None:
         self._prediction_cache = None
-        self._cache_store = None
-        self._cache_nic = None
 
     @property
     def prediction_cache(self) -> Optional[PredictionCache]:
@@ -302,7 +244,6 @@ class InstructionPredictor:
             "seed": self.seed,
             "vocab": self.vocab,
             "model": self.model,
-            "distilled": self.distilled,
         }
 
     def load_state_dict(self, state: dict) -> "InstructionPredictor":
@@ -312,7 +253,6 @@ class InstructionPredictor:
         self.seed = int(state["seed"])
         self.vocab = state["vocab"]
         self.model = state["model"]
-        self.distilled = state.get("distilled")
         return self
 
     def set_infer_hook(
@@ -380,18 +320,15 @@ class InstructionPredictor:
                     )
             return out
 
-    def _predict_uncached(
-        self,
-        seqs: List[List[str]],
-        mode: Optional[str] = None,
-    ) -> np.ndarray:
+    def _predict_uncached(self, seqs: List[List[str]]) -> np.ndarray:
         """Model inference for already-materialized sequences (the
         cache-miss path).  Blocks longer than ``max_len`` are chunked
         and their chunk predictions summed — instruction selection is
         local, so a long straight-line block compiles to roughly the
-        concatenation of its windows.  ``mode`` overrides the serving
-        mode (distillation uses ``"lstm"`` to get a pure teacher
-        signal)."""
+        concatenation of its windows.  Integer-id encoding feeds
+        :meth:`~repro.ml.lstm.LSTMRegressor.predict_ids` — bit-identical
+        to the one-hot matmul without materializing the dense
+        ``[n, max_len, vocab]`` tensor."""
         chunks: List[List[str]] = []
         owners: List[int] = []
         for i, seq in enumerate(seqs):
@@ -402,41 +339,12 @@ class InstructionPredictor:
             for start in range(0, len(seq), self.max_len):
                 chunks.append(seq[start : start + self.max_len])
                 owners.append(i)
-        mode = mode or self.predictor_mode
-        if mode == "lstm":
-            chunk_preds = self._lstm_chunk_predictions(chunks)
-        else:
-            if self.distilled is None:
-                raise NotTrainedError(
-                    f"predictor_mode={mode!r} requires a distilled model"
-                    " (call distill() or train via Clara.train)"
-                )
-            features = histogram_features(self.vocab, chunks)
-            chunk_preds = self.distilled.predict_counts(features)
-            if mode == "auto":
-                fallback = np.flatnonzero(~self.distilled.confident(features))
-                if len(fallback):
-                    chunk_preds[fallback] = self._lstm_chunk_predictions(
-                        [chunks[j] for j in fallback]
-                    )
-                get_metrics().counter(
-                    "predictor_distilled_served", result="distilled"
-                ).inc(len(chunks) - len(fallback))
-                get_metrics().counter(
-                    "predictor_distilled_served", result="lstm_fallback"
-                ).inc(len(fallback))
+        ids, mask = encode_block_ids(self.vocab, chunks, self.max_len)
+        chunk_preds = self.model.predict_ids(ids, mask)
         out = np.zeros(len(seqs))
         for owner, value in zip(owners, chunk_preds):
             out[owner] += value
         return out
-
-    def _lstm_chunk_predictions(self, chunks: List[List[str]]) -> np.ndarray:
-        """The batched LSTM kernel over encoded chunks.  Integer-id
-        encoding feeds :meth:`~repro.ml.lstm.LSTMRegressor.predict_ids`
-        — bit-identical to the one-hot matmul without materializing the
-        dense ``[n, max_len, vocab]`` tensor."""
-        ids, mask = encode_block_ids(self.vocab, chunks, self.max_len)
-        return self.model.predict_ids(ids, mask)
 
     def evaluate(self, dataset: PredictorDataset) -> float:
         """WMAPE against ground truth (the paper's Section 5.2 metric)."""

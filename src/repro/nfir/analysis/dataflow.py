@@ -16,7 +16,7 @@ analysis here are stores into stack slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.nfir.analysis.dominance import block_predecessors
 from repro.nfir.block import BasicBlock
@@ -389,11 +389,3 @@ def maybe_uninitialized_loads(
                 if slot is not None:
                     ready.add(slot)
     return findings
-
-
-def values_defined(function: Function) -> Iterable[Value]:
-    """All SSA values a function defines (arguments + instructions)."""
-    yield from function.args
-    for instr in function.instructions():
-        if instr.produces_value:
-            yield instr

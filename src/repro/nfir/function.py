@@ -76,12 +76,6 @@ class Function:
         self.blocks.append(block)
         return block
 
-    def get_block(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(f"no block named {name!r} in function {self.name}")
-
     @property
     def entry(self) -> BasicBlock:
         if not self.blocks:

@@ -68,15 +68,3 @@ class MemoryHierarchy:
         regions = dict(self.regions)
         regions[name] = replace(regions[name], **changes)
         return MemoryHierarchy(regions)
-
-
-def default_hierarchy() -> MemoryHierarchy:
-    """The default target's (NFP-4000) hierarchy.
-
-    Kept as an internal convenience while the ``repro.nic`` alias goes
-    through its deprecation cycle; the region constants themselves now
-    live on the ``nfp-4000`` :class:`~repro.nic.targets.TargetDescription`.
-    """
-    from repro.nic.targets import DEFAULT_TARGET, get_target
-
-    return get_target(DEFAULT_TARGET).hierarchy()

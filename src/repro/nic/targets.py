@@ -380,17 +380,6 @@ DPU_OFFPATH = register_target(
 )
 
 
-def _targets_payload() -> Dict[str, Any]:
-    """Registry summary used by ``clara serve`` health and the CLI."""
-    return {
-        "schema": TARGET_SCHEMA,
-        "default": DEFAULT_TARGET,
-        "targets": {
-            name: _REGISTRY[name].to_dict() for name in list_targets()
-        },
-    }
-
-
 def target_fingerprint(
     target: Optional[TargetDescription],
 ) -> Dict[str, Any]:

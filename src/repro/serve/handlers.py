@@ -139,11 +139,11 @@ class ClaraService:
     behind a lock so concurrent first requests train once.
 
     ``predict_cache`` attaches an in-memory content-addressed
-    prediction cache to every served predictor (repeat analyzes answer
-    from it; results are bit-identical either way) and
-    ``predictor_mode`` selects the serving mode (``lstm``,
-    ``distilled``, or ``auto``) — both also apply to lazily trained
-    per-target Claras.
+    prediction cache to every served predictor, lazily trained
+    per-target Claras included (repeat analyzes answer from it; results
+    are bit-identical either way).  ``predictor_mode`` must be
+    ``"lstm"``, the only predictor; any other value raises
+    :class:`~repro.errors.ClaraError`.
     """
 
     def __init__(
@@ -160,7 +160,10 @@ class ClaraService:
         self.colocation_programs = int(colocation_programs)
         self.colocation_groups = int(colocation_groups)
         self.predict_cache = bool(predict_cache)
-        self.predictor_mode = predictor_mode
+        if predictor_mode != "lstm":
+            raise ClaraError(
+                f"predictor_mode must be 'lstm', got {predictor_mode!r}"
+            )
         self._colocation_lock = threading.Lock()
         #: per-target warm Claras; the primary serves its own target.
         self._claras: Dict[str, Any] = {clara.nic.target.name: clara}
@@ -171,10 +174,8 @@ class ClaraService:
         )
 
     def _configure_predictor(self, clara) -> None:
-        """Apply the service's serving mode and (in-memory) prediction
-        cache to one warm Clara — mode first, because the cache
-        namespace depends on it."""
-        clara.predictor.predictor_mode = self.predictor_mode
+        """Attach the service's in-memory prediction cache to one warm
+        Clara."""
         # A cold Clara (healthz 503 until trained) has no weights to
         # fingerprint yet — the cache only attaches to fitted models.
         if self.predict_cache and clara.predictor.model is not None:
@@ -316,8 +317,8 @@ class ClaraService:
         return (200 if trained else 503), envelope("health", result)
 
     def _predictor_health(self) -> Dict[str, Any]:
-        """Serving-mode and prediction-cache stats, summed over every
-        warm Clara (the per-target ones share the service config)."""
+        """Prediction-cache stats, summed over every warm Clara (the
+        per-target ones share the service config)."""
         hits = misses = entries = 0
         for clara in self._claras.values():
             cache = clara.predictor.prediction_cache
@@ -326,7 +327,6 @@ class ClaraService:
                 misses += cache.misses
                 entries += len(cache)
         return {
-            "mode": self.predictor_mode,
             "cache": {
                 "enabled": self.predict_cache,
                 "hits": hits,

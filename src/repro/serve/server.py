@@ -113,7 +113,8 @@ class ServeConfig:
     #: in-memory content-addressed prediction cache (repeat analyzes
     #: answer from it; cached and uncached results are bit-identical).
     predict_cache: bool = True
-    #: predictor serving mode: ``lstm``, ``distilled``, or ``auto``.
+    #: must be ``"lstm"``, the only predictor (``ClaraService``
+    #: rejects any other value).
     predictor_mode: str = "lstm"
     #: a request slower than this (milliseconds) has its full span
     #: tree captured into the journal as a ``slow_request`` event
