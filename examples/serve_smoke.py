@@ -12,6 +12,11 @@ exactly as an operator would —
    colocation — and check each response envelope; the analyze request
    carries an ``X-Clara-Request-Id`` and the echo is asserted (header
    and envelope);
+3a. send the same analyze request again: the body must be
+   byte-identical apart from its ``request_id``, and the prediction
+   cache's hits + misses on ``/healthz`` must not move, because a warm
+   daemon answers a repeat from its memo without touching the
+   predictor;
 4. confirm the error mapping (an unknown element must be a 404 with a
    typed error body, not a 500);
 5. read the correlated events back from ``GET /v1/events`` and export
@@ -79,6 +84,14 @@ def envelope_of(body, expected_kind):
     return env["result"]
 
 
+def predictor_lookups(base):
+    """Prediction-cache hits + misses so far, from ``/healthz``."""
+    status, body, _headers = request(f"{base}/healthz")
+    assert status == 200, (status, body)
+    cache = envelope_of(body, "health")["predictor"]["cache"]
+    return cache["hits"] + cache["misses"]
+
+
 def wait_ready(base, proc):
     deadline = time.monotonic() + READY_DEADLINE_S
     while time.monotonic() < deadline:
@@ -116,11 +129,13 @@ def main() -> None:
               f" kinds {health['request_kinds']}")
 
         rid = "smoke-analyze-1"
-        status, body, headers = request(f"{base}/v1/analyze", {
+        analyze = {
             "element": "aggcounter",
             "workload": {"name": "smoke", "n_flows": 4096,
                          "n_packets": 60},
-        }, request_id=rid)
+        }
+        status, body, headers = request(f"{base}/v1/analyze", analyze,
+                                         request_id=rid)
         assert status == 200, (status, body)
         assert headers.get("X-Clara-Request-Id") == rid, headers
         env = json.loads(body.decode("utf-8"))
@@ -129,6 +144,18 @@ def main() -> None:
         assert result["report"]["nf_name"] == "aggcounter", result
         assert result["port_config"]["cores"] >= 1, result
         print("analyze: ok (request id echoed)")
+
+        lookups = predictor_lookups(base)
+        repeat_rid = "smoke-analyze-2"
+        status, repeat, _headers = request(f"{base}/v1/analyze", analyze,
+                                           request_id=repeat_rid)
+        assert status == 200, (status, repeat)
+        assert repeat == body.replace(f'"{rid}"'.encode(),
+                                      f'"{repeat_rid}"'.encode()), \
+            "a repeated analyze changed its answer"
+        assert predictor_lookups(base) == lookups, \
+            "a repeated analyze reached the predictor"
+        print("repeat analyze: ok (same bytes, predictor untouched)")
 
         status, body, _headers = request(f"{base}/v1/lint",
                                          {"elements": ["aggcounter"]})

@@ -783,8 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--predict-cache", choices=("on", "off"),
                          default="on",
                          help="in-memory content-addressed prediction"
-                              " cache for repeat analyzes (default on;"
-                              " responses are byte-identical either way)")
+                              " cache for block sequences the model has"
+                              " seen (default on; responses are"
+                              " byte-identical either way)")
     p_serve.add_argument("--slow-request-ms", type=float, default=5000.0,
                          help="requests slower than this capture their"
                               " full span tree into the event journal"

@@ -11,7 +11,12 @@ calls — a second ``train()`` with the same config is a sub-second load
 instead of a retrain.
 
 ``Clara.analyze()`` then takes an *unported* ClickScript element plus
-a workload spec and produces the full insight report;
+a workload spec and produces the full insight report.  Its
+request-invariant half (lowering, per-block prediction, algorithm
+identification and the offload lint) is computed once per element
+content and kept in a small per-Clara LRU; only the half that reads
+the host profile of the traffic runs on every call.
+
 ``Clara.port_config()`` turns the insights into a
 :class:`~repro.nic.port.PortConfig` — the "Clara porting" strategy the
 evaluation benchmarks against naive porting and expert emulation.
@@ -19,8 +24,12 @@ evaluation benchmarks against naive porting and expert emulation.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -47,13 +56,13 @@ from repro.core.artifacts import (
     train_cache_key,
 )
 from repro.core.coalescing import CoalescingAdvisor
-from repro.core.insights import INSIGHT_REPORT_SCHEMA, InsightReport
+from repro.core.insights import INSIGHT_REPORT_SCHEMA, Insight, InsightReport
 from repro.core.placement import PlacementAdvisor
 from repro.core.predictor import InstructionPredictor, PredictorDataset
 from repro.core.prepare import PreparedNF, prepare_element
 from repro.core.scaleout import ScaleoutAdvisor
 from repro.errors import NotTrainedError
-from repro.nfir.analysis import lint_module
+from repro.nfir.analysis import LintReport, lint_module
 from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.nic.port import PortConfig
 from repro.nic.targets import TargetDescription
@@ -69,9 +78,46 @@ log = get_logger(__name__)
 #: valid values of ``Clara.train(cache=...)``.
 CACHE_MODES = ("auto", "off", "require")
 
+#: most distinct elements whose :class:`StaticAnalysis` one
+#: :class:`Clara` keeps (the library has 24 NFs); the least recently
+#: used is dropped first.
+STATIC_MEMO_SIZE = 64
+
+
+def element_key(element: ElementDef) -> str:
+    """Content key of an element: equal definitions share it, whatever
+    their identity.  The AST is a tree of dataclasses whose ``repr``
+    covers every field; a plain ``initial_state`` attribute is not part
+    of it, because profiling reads that from the requesting element."""
+    return hashlib.sha256(repr(element).encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class StaticAnalysis:
+    """The request-invariant half of one NF's analysis: what
+    :meth:`Clara.analyze` derives from the element, the target and the
+    fitted advisors alone (paper Figure 3's lowering, per-block
+    prediction and algorithm identification, plus the offload lint).
+    One record serves every analysis of an equal element, from any
+    thread, so nothing in it may be mutated."""
+
+    prepared: PreparedNF
+    #: the predictor's compute/memory/api insights, in report order.
+    insights: Tuple[Insight, ...]
+    #: ``(region, accelerator label, blocks)`` per identified region.
+    accelerators: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
+    lint: LintReport
+
 
 @dataclass
 class AnalysisResult:
+    """One NF's analysis under one workload.
+
+    ``report``, ``profile`` and ``workload`` belong to this result.
+    ``prepared`` is shared: its module, annotation and tokens come from
+    the analyzing :class:`Clara`'s memo and serve every analysis of an
+    equal element, on any thread, so treat it as read-only."""
+
     report: InsightReport
     prepared: PreparedNF
     profile: ExecutionProfile
@@ -147,6 +193,10 @@ class Clara:
         #: the config of the last (or loaded) training run.
         self.train_config: Optional[TrainConfig] = None
         self.trained = False
+        #: element key -> StaticAnalysis, least recently used first.
+        #: Deployment state: never part of :meth:`state_dict`.
+        self._static_memo: "OrderedDict[str, StaticAnalysis]" = OrderedDict()
+        self._static_lock = threading.Lock()
 
     # -- one-time training phases ---------------------------------------
     def train(
@@ -172,6 +222,8 @@ class Clara:
         pre-1.0 ``n_predictor_programs``/``n_scaleout_programs``/
         ``predictor_epochs``/``quick`` kwargs (deprecated since the
         artifact-cache release) are gone.
+
+        Drops every memoized :class:`StaticAnalysis`.
         """
         if config is None:
             config = TrainConfig()
@@ -180,6 +232,7 @@ class Clara:
                 f"cache must be one of {CACHE_MODES}, got {cache!r}"
             )
         self.train_config = config
+        self._drop_static_memo()
 
         with span("train", cache_mode=cache, workers=workers) as train_sp:
             get_metrics().counter("train_runs").inc()
@@ -325,6 +378,13 @@ class Clara:
         }
 
     def load_state_dict(self, state: Mapping[str, object]) -> "Clara":
+        """Restore the fitted advisors from :meth:`state_dict` output
+        and drop every memoized :class:`StaticAnalysis`.  The memo is
+        only dropped here and by :meth:`train`: after any other direct
+        change to an advisor's fitted state, call
+        ``clara.load_state_dict(clara.state_dict())`` before the next
+        :meth:`analyze`."""
+        self._drop_static_memo()
         advisors = state["advisors"]
         self.predictor.load_state_dict(advisors["predictor"])
         self.identifier.load_state_dict(advisors["identifier"])
@@ -400,12 +460,25 @@ class Clara:
         or a library element *name* (resolved via
         :func:`~repro.click.elements.build_element`).
 
+        Two halves.  The static half (``prepare``, ``predict``,
+        ``identify``, ``lint``) depends only on the element's content,
+        the target and the fitted advisors; it runs once per distinct
+        element and is then served from a bounded per-Clara LRU (see
+        :class:`StaticAnalysis`).  The per-workload half
+        (``profile_on_host``, ``characterize``, ``scaleout``,
+        ``placement``, ``coalescing``) runs on every call and builds a
+        fresh report from copies of the memoized insights.  Both halves
+        open their stage spans every time; the static stages carry
+        ``memo="hit"`` or ``memo="miss"``.
+
         Re-entrant: every call builds its own interpreter, profile,
         and report, and the fitted advisors are only *read* — so
         ``clara serve`` calls this concurrently from its request
-        threads (with predictor inference batched across them by the
-        serve broker).  Only :meth:`train`/:meth:`load_state_dict`
-        mutate advisor state and must not overlap with analyses.
+        threads.  The memo is guarded by a lock and filled outside it,
+        so two concurrent first analyses of one element may both
+        compute it (with identical results).  Only
+        :meth:`train`/:meth:`load_state_dict` mutate advisor state,
+        and they must not overlap with analyses.
         """
         if not self.trained:
             raise NotTrainedError("call Clara.train() before analyze()")
@@ -413,33 +486,38 @@ class Clara:
             element = build_element(element)
         with span("analyze", nf=element.name, workload=spec.name):
             get_metrics().counter("analyze_runs").inc()
-            with span("prepare") as sp:
-                prepared = prepare_element(element)
-                sp.set("n_blocks", len(prepared.blocks))
+            static = self._static_analysis(element)
+            # The memoized lowering, profiled with the requesting
+            # element's own initial state.
+            prepared = replace(static.prepared, element=element)
             profile = self.profile_on_host(prepared, spec, state, trace_seed)
             with span("characterize"):
                 workload = characterize(spec, hierarchy=self.nic.hierarchy)
 
-            with span("predict") as sp:
-                report = self.predictor.advise(prepared, profile, workload)
-                report.workload_name = spec.name
-                sp.set("n_insights", len(report.insights))
+            # Copies, so nothing this request adds or sets reaches the
+            # memo.
+            report = InsightReport(
+                nf_name=prepared.name,
+                workload_name=spec.name,
+                insights=[
+                    Insight(i.type, i.subject, copy.copy(i.value), i.detail)
+                    for i in static.insights
+                ],
+                diagnostics=[
+                    replace(diag, data=dict(diag.data))
+                    for diag in static.lint.diagnostics
+                ],
+            )
 
             # Accelerator opportunities (Section 4.1).
-            with span("identify") as sp:
-                accelerators = self.identifier.advise(
-                    prepared, profile, workload
-                )
-                sp.set("n_regions", len(accelerators))
-            for region, (label, blocks) in accelerators.items():
+            for region, label, blocks in static.accelerators:
                 report.add(
                     "accelerator",
                     region,
-                    label,
+                    {"accel": label, "blocks": list(blocks)},
                     detail=f"blocks: {','.join(blocks[:4])}"
                     + ("..." if len(blocks) > 4 else ""),
                 )
-                report.insights[-1].value = {"accel": label, "blocks": blocks}
 
             # Scale-out suggestion (Section 4.2).
             with span("scaleout") as sp:
@@ -472,27 +550,6 @@ class Clara:
                     detail="K-means access-vector cluster",
                 )
 
-            # Offload lint (static portability diagnostics).
-            with span("lint") as sp:
-                lint = lint_module(prepared.module, target=self.nic.target)
-                report.diagnostics = list(lint.diagnostics)
-                sp.set("n_diagnostics", len(lint.diagnostics))
-                sp.set("n_errors", lint.n_errors)
-                sp.set("n_suppressed", len(lint.suppressed))
-                metrics = get_metrics()
-                for diag in lint.diagnostics:
-                    metrics.counter(
-                        "lint_diagnostics",
-                        severity=diag.severity,
-                        rule=diag.rule,
-                    ).inc()
-                    if diag.data.get("downgraded_by"):
-                        metrics.counter(
-                            "lint_downgrades",
-                            rule=diag.rule,
-                            by=str(diag.data["downgraded_by"]),
-                        ).inc()
-
         log.info(
             "analyze: %s under %s -> %d insights",
             element.name, spec.name, len(report.insights),
@@ -500,6 +557,77 @@ class Clara:
         return AnalysisResult(
             report, prepared, profile, workload, target=self.nic.target.name
         )
+
+    def _static_analysis(self, element: ElementDef) -> StaticAnalysis:
+        """The static half of :meth:`analyze`, from the memo when an
+        equal element was analyzed before.  A hit opens the same stage
+        spans, with the same attributes, around no work, and counts the
+        stored lint diagnostics again."""
+        key = element_key(element)
+        with self._static_lock:
+            record = self._static_memo.get(key)
+            if record is not None:
+                self._static_memo.move_to_end(key)
+        memo = "miss" if record is None else "hit"
+        with span("prepare", memo=memo) as sp:
+            prepared = (
+                prepare_element(element) if record is None
+                else record.prepared
+            )
+            sp.set("n_blocks", len(prepared.blocks))
+        with span("predict", memo=memo) as sp:
+            insights = (
+                tuple(self.predictor.advise(prepared).insights)
+                if record is None else record.insights
+            )
+            sp.set("n_insights", len(insights))
+        # Accelerator opportunities (Section 4.1).
+        with span("identify", memo=memo) as sp:
+            accelerators = (
+                tuple(
+                    (region, label, tuple(blocks))
+                    for region, (label, blocks)
+                    in self.identifier.advise(prepared).items()
+                )
+                if record is None else record.accelerators
+            )
+            sp.set("n_regions", len(accelerators))
+        # Offload lint (static portability diagnostics).
+        with span("lint", memo=memo) as sp:
+            lint = (
+                lint_module(prepared.module, target=self.nic.target)
+                if record is None else record.lint
+            )
+            sp.set("n_diagnostics", len(lint.diagnostics))
+            sp.set("n_errors", lint.n_errors)
+            sp.set("n_suppressed", len(lint.suppressed))
+            metrics = get_metrics()
+            for diag in lint.diagnostics:
+                metrics.counter(
+                    "lint_diagnostics",
+                    severity=diag.severity,
+                    rule=diag.rule,
+                ).inc()
+                if diag.data.get("downgraded_by"):
+                    metrics.counter(
+                        "lint_downgrades",
+                        rule=diag.rule,
+                        by=str(diag.data["downgraded_by"]),
+                    ).inc()
+        if record is None:
+            record = StaticAnalysis(prepared, insights, accelerators, lint)
+            with self._static_lock:
+                # A concurrent first analysis may have stored an equal
+                # record meanwhile; keep that one.
+                record = self._static_memo.setdefault(key, record)
+                self._static_memo.move_to_end(key)
+                while len(self._static_memo) > STATIC_MEMO_SIZE:
+                    self._static_memo.popitem(last=False)
+        return record
+
+    def _drop_static_memo(self) -> None:
+        with self._static_lock:
+            self._static_memo.clear()
 
     # -- turning insights into a port ---------------------------------------
     def port_config(self, analysis: AnalysisResult) -> PortConfig:

@@ -438,6 +438,7 @@ def _case_colocation_rank(ctx: BenchContext) -> Callable[[], Any]:
 def _case_serve_analyze(ctx: BenchContext) -> Callable[[], Any]:
     import urllib.request
 
+    # After the first run, every run is a memo hit of the static half.
     server = ctx.warm_server()
     url = server.url("/v1/analyze")
     body = json.dumps({
@@ -510,6 +511,7 @@ def _case_lint_absint(ctx: BenchContext) -> Callable[[], Any]:
 def _case_dpu_analyze(ctx: BenchContext) -> Callable[[], Any]:
     from repro.workload.spec import WorkloadSpec
 
+    # After the first run, every run is a memo hit of the static half.
     clara = ctx.trained_clara(target="dpu-offpath")
     spec = WorkloadSpec(name="bench", n_flows=4096, n_packets=60)
 

@@ -1,8 +1,10 @@
 """The request broker: batch predictor inference across threads.
 
-``clara serve`` handles each HTTP request on its own thread, and every
-analyze request ends in one ``predict_sequences`` call over the NF's
-block token sequences.  Run naively, N concurrent requests pay N model
+``clara serve`` handles each HTTP request on its own thread, and the
+first analyze request for an NF ends in one ``predict_sequences`` call
+over the NF's block token sequences (later requests for it answer from
+``Clara``'s memo of the static analysis and never reach the
+predictor).  Run naively, N concurrent first requests pay N model
 invocations; the LSTM, however, is a batched matmul whose cost grows
 far slower than linearly in rows.  :class:`PredictBroker` exploits
 that: calls are parked on a queue, a single batcher thread waits a

@@ -8,10 +8,14 @@ payloads cannot drift apart.
 
 Thread model: analyze/lint/colocation only *read* the fitted advisors
 (each call builds its own interpreter and profile), so concurrent
-execution is safe.  The two mutating operations are serialized: the
-lazily trained colocation ranker behind a lock, and predictor
-inference behind the :class:`~repro.serve.broker.PredictBroker` (which
-is exactly what makes concurrency profitable rather than just safe).
+execution is safe.  Analyses of an NF share one memoized static
+analysis (lowered module, predictions, accelerator regions, lint
+report) per warm Clara, which no request mutates; the memo is
+lock-guarded inside :class:`~repro.core.Clara`.  The mutating
+operations are serialized: the lazily trained colocation ranker and
+per-target Claras behind locks, and predictor inference — which only
+an NF's first analysis reaches — behind the
+:class:`~repro.serve.broker.PredictBroker`.
 """
 
 from __future__ import annotations
@@ -138,12 +142,18 @@ class ClaraService:
     ``colocation_programs``/``colocation_groups`` sized deployments,
     behind a lock so concurrent first requests train once.
 
+    Each warm Clara (the primary and every lazily trained per-target
+    one) memoizes its NFs' static analyses, so only an NF's first
+    analyze request per process reaches the predictor, the broker and
+    the prediction cache; repeats answer from the memo with
+    byte-identical envelopes.
+
     ``predict_cache`` attaches an in-memory content-addressed
     prediction cache to every served predictor, lazily trained
-    per-target Claras included (repeat analyzes answer from it; results
-    are bit-identical either way).  ``predictor_mode`` must be
-    ``"lstm"``, the only predictor; any other value raises
-    :class:`~repro.errors.ClaraError`.
+    per-target Claras included (a first analysis answers the blocks the
+    model has already seen from it; results are bit-identical either
+    way).  ``predictor_mode`` must be ``"lstm"``, the only predictor;
+    any other value raises :class:`~repro.errors.ClaraError`.
     """
 
     def __init__(

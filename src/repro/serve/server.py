@@ -110,8 +110,9 @@ class ServeConfig:
     #: lazy colocation-ranker training sizes.
     colocation_programs: int = 12
     colocation_groups: int = 12
-    #: in-memory content-addressed prediction cache (repeat analyzes
-    #: answer from it; cached and uncached results are bit-identical).
+    #: in-memory content-addressed prediction cache (a first analysis
+    #: of an NF answers the blocks the model has already seen from it;
+    #: cached and uncached results are bit-identical).
     predict_cache: bool = True
     #: must be ``"lstm"``, the only predictor (``ClaraService``
     #: rejects any other value).

@@ -233,6 +233,8 @@ class TestAnalyze:
 
         sequential = [ask(p) for p in payloads]
 
+        # The sequential answers memoized each NF's static analysis, so
+        # the concurrent repeats must not reach the predictor at all.
         before = server.service.broker.n_jobs
         barrier = threading.Barrier(len(payloads))
         concurrent = [None] * len(payloads)
@@ -250,10 +252,27 @@ class TestAnalyze:
         for t in threads:
             t.join()
 
-        # Batch composition must not change any answer.
         assert concurrent == sequential
-        # All three went through the broker.
-        assert server.service.broker.n_jobs >= before + len(payloads)
+        assert server.service.broker.n_jobs == before
+
+    def test_first_analysis_reaches_the_broker(self, clara_artifacts):
+        from repro.core import Clara
+        from repro.serve import ClaraService
+        from repro.serve.schemas import AnalyzeRequest
+
+        service = ClaraService(Clara.load(clara_artifacts["artifact"]))
+        request = AnalyzeRequest.from_dict({
+            "element": "udpcount",
+            "workload": {"name": "t", "n_packets": 20},
+        })
+        try:
+            first = service.analyze(request)
+            assert service.broker.n_jobs == 1
+            # A repeat is answered from the memo.
+            assert service.analyze(request) == first
+            assert service.broker.n_jobs == 1
+        finally:
+            service.close()
 
     def test_trace_seed_is_honored(self, server):
         def ask(seed):
@@ -523,7 +542,9 @@ class TestRequestCorrelation:
     def test_journal_events_carry_the_id(self, server):
         from repro.obs.events import get_journal
 
-        rid = "journal-e2e-1"
+        # Unique per run: a repeated run must not read an earlier
+        # run's events from the process-wide journal.
+        rid = f"journal-e2e-{uuid.uuid4().hex}"
         http(server, "/v1/analyze", payload={
             "element": "aggcounter",
             "workload": {"name": "t", "n_packets": 50},
