@@ -71,7 +71,7 @@ def test_ablation_vocabulary_compaction(write_result, benchmark):
         prepared = prepare_element(build_element(nf))
         program = compile_module(prepared.module)
         y = np.array([float(b.n_compute) for b in program.handler.blocks])
-        c_pred = compact.predict_sequences(prepared.block_token_sequences())
+        c_pred = compact.predict_direct(prepared.block_token_sequences())
         raw_seqs = [
             block_tokens(b, compact=False)
             for b in prepared.module.handler.blocks
@@ -196,8 +196,8 @@ def test_ablation_guided_synthesis(write_result, benchmark):
         program = compile_module(prepared.module)
         y = np.array([float(b.n_compute) for b in program.handler.blocks])
         sequences = prepared.block_token_sequences()
-        guided_scores.append(wmape(y, guided.predict_sequences(sequences)))
-        base_scores.append(wmape(y, baseline.predict_sequences(sequences)))
+        guided_scores.append(wmape(y, guided.predict_direct(sequences)))
+        base_scores.append(wmape(y, baseline.predict_direct(sequences)))
         rows.append(
             f"{nf:12s} {guided_scores[-1]:8.3f} {base_scores[-1]:9.3f}"
         )

@@ -67,7 +67,7 @@ def test_fig8_prediction(clara, baselines, write_result, benchmark):
     per_model = {"clara": [], "dnn": [], "cnn": [], "automl": []}
     for name in FIG8_NFS:
         prepared, sequences, y = _nf_ground_truth(name)
-        clara_pred = clara.predictor.predict_sequences(sequences)
+        clara_pred = clara.predictor.predict_direct(sequences)
         X_hist = histogram_features(baselines["vocab"], sequences)
         dnn_pred = baselines["dnn"].predict(X_hist)
         automl_pred = baselines["automl"].predict(X_hist)
@@ -96,7 +96,7 @@ def test_fig8_prediction(clara, baselines, write_result, benchmark):
 
     # Timed kernel: LSTM inference over one NF's blocks.
     prepared, sequences, _y = _nf_ground_truth("tcpack")
-    benchmark(lambda: clara.predictor.predict_sequences(sequences))
+    benchmark(lambda: clara.predictor.predict_direct(sequences))
 
     # Paper claims: Clara wins on average; per-NF errors in a sane band.
     assert means["clara"] < means["dnn"]

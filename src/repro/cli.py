@@ -520,11 +520,8 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
         colocation_programs=args.colocation_programs,
         colocation_groups=args.colocation_groups,
-        predict_cache=args.predict_cache == "on",
         slow_request_ms=args.slow_request_ms,
         slow_trace_dir=args.slow_trace_dir,
         slo_window_s=args.slo_window_s,
@@ -532,9 +529,7 @@ def cmd_serve(args) -> int:
         slo_error_rate=args.slo_error_rate,
     )
     server = build_server(clara, config)
-    print(f"clara serve listening on {server.url()}"
-          f" (batch window {config.batch_window_ms:g}ms,"
-          f" max batch {config.max_batch})", file=sys.stderr)
+    print(f"clara serve listening on {server.url()}", file=sys.stderr)
 
     def request_stop(signum, _frame):
         # shutdown() must not run on the serving thread; hand it off.
@@ -768,24 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8787,
                          help="TCP port, 0 for ephemeral (default 8787)")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="how long the inference broker waits for"
-                              " concurrent requests to batch (default 2.0)")
-    p_serve.add_argument("--max-batch", type=int, default=64,
-                         help="max inference calls merged into one model"
-                              " invocation (default 64)")
     p_serve.add_argument("--colocation-programs", type=int, default=12,
                          help="candidate-pool size for the lazily trained"
                               " colocation ranker (default 12)")
     p_serve.add_argument("--colocation-groups", type=int, default=12,
                          help="ranking groups for the lazily trained"
                               " colocation ranker (default 12)")
-    p_serve.add_argument("--predict-cache", choices=("on", "off"),
-                         default="on",
-                         help="in-memory content-addressed prediction"
-                              " cache for block sequences the model has"
-                              " seen (default on; responses are"
-                              " byte-identical either way)")
     p_serve.add_argument("--slow-request-ms", type=float, default=5000.0,
                          help="requests slower than this capture their"
                               " full span tree into the event journal"
@@ -813,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                                " http://127.0.0.1:8787)")
     p_events.add_argument("--kind", default=None,
                           help="only events of this kind (e.g."
-                               " request_finish, broker_batch,"
+                               " request_finish, cache_miss,"
                                " slow_request)")
     p_events.add_argument("--for-request", metavar="ID", default=None,
                           help="only events stamped with this request id")

@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -249,7 +250,8 @@ class PredictionCache:
     :class:`ArtifactCache`) to additionally page the map in from disk
     at construction and persist it on :meth:`flush`.  Cached values are
     the exact doubles the model produced, so cached and uncached
-    predictions are bit-identical.
+    predictions are bit-identical.  Concurrent lookups (one per
+    serving request thread) keep exact ``hits``/``misses`` totals.
     """
 
     def __init__(
@@ -260,6 +262,7 @@ class PredictionCache:
         self.namespace = namespace
         self.hits = 0
         self.misses = 0
+        self._counts_lock = threading.Lock()
         self._store = store
         self._mem: Dict[str, float] = {}
         self._dirty = False
@@ -291,8 +294,9 @@ class PredictionCache:
             else:
                 hits += 1
             out.append(value)
-        self.hits += hits
-        self.misses += misses
+        with self._counts_lock:
+            self.hits += hits
+            self.misses += misses
         metrics = get_metrics()
         if hits:
             metrics.counter(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,14 +151,6 @@ class InstructionPredictor:
         self.vocab = InstructionVocabulary()
         self.model: Optional[LSTMRegressor] = None
         self._prediction_cache: Optional[PredictionCache] = None
-        #: optional serving-time indirection: when set, every
-        #: :meth:`predict_sequences` call routes through it instead of
-        #: running the model directly (the serve broker installs one to
-        #: batch inference across concurrent requests).  Not part of
-        #: :meth:`state_dict` — it is deployment wiring, not learning.
-        self._infer_hook: Optional[
-            Callable[[Sequence[Sequence[str]]], np.ndarray]
-        ] = None
 
     def fit(self, dataset: PredictorDataset) -> "InstructionPredictor":
         self.vocab.fit(dataset.sequences)
@@ -255,42 +247,17 @@ class InstructionPredictor:
         self.model = state["model"]
         return self
 
-    def set_infer_hook(
-        self,
-        hook: Optional[Callable[[Sequence[Sequence[str]]], np.ndarray]],
-    ) -> Optional[Callable[[Sequence[Sequence[str]]], np.ndarray]]:
-        """Install (or clear, with ``None``) the serving-time inference
-        hook and return the previous one.  The hook receives the exact
-        ``sequences`` argument of a :meth:`predict_sequences` call and
-        must return the matching prediction array; it must *not*
-        re-enter :meth:`predict_sequences` — use
-        :meth:`predict_direct`, the unhooked path."""
-        previous = self._infer_hook
-        self._infer_hook = hook
-        return previous
-
-    def predict_sequences(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
-        """Predict per-sequence counts (the hot serving entry point).
-
-        When an inference hook is installed (``clara serve``'s batching
-        broker), the call is delegated to it so concurrent requests
-        share one model invocation; otherwise this is
-        :meth:`predict_direct`.
-        """
-        if self._infer_hook is not None:
-            return self._infer_hook(sequences)
-        return self.predict_direct(sequences)
-
     def predict_direct(self, sequences: Sequence[Sequence[str]]) -> np.ndarray:
-        """Run the model on ``sequences`` in this thread, bypassing any
-        installed hook — re-entrant and thread-safe (the fitted weights
-        are only read), so a broker can batch many callers into one
-        call here.  The input is materialized exactly once, so
-        single-pass iterables (generators) are safe.  When a prediction
-        cache is attached, each sequence's content hash is consulted
-        before any encoding happens and only misses reach the model;
-        the kernel is batch-composition-invariant, so cached and
-        uncached predictions are bit-identical."""
+        """Predict per-sequence counts by running the model on
+        ``sequences`` in the calling thread — re-entrant and
+        thread-safe (the fitted weights are only read), so concurrent
+        requests each predict on their own thread.  The input is
+        materialized exactly once, so single-pass iterables
+        (generators) are safe.  When a prediction cache is attached,
+        each sequence's content hash is consulted before any encoding
+        happens and only misses reach the model; the kernel is
+        batch-composition-invariant, so cached and uncached
+        predictions are bit-identical."""
         if self.model is None:
             raise NotTrainedError("predictor is not fitted")
         with span("predict_model"):
@@ -348,7 +315,7 @@ class InstructionPredictor:
 
     def evaluate(self, dataset: PredictorDataset) -> float:
         """WMAPE against ground truth (the paper's Section 5.2 metric)."""
-        pred = self.predict_sequences(dataset.sequences)
+        pred = self.predict_direct(dataset.sequences)
         return wmape(np.asarray(dataset.targets), pred)
 
     # -- Figure 3: PREDICTOFFLOADINGPERF ------------------------------
@@ -356,7 +323,7 @@ class InstructionPredictor:
         """Generate the prediction-class insights for an unported NF."""
         report = InsightReport(nf_name=prepared.name)
         sequences = prepared.block_token_sequences()
-        predictions = self.predict_sequences(sequences)
+        predictions = self.predict_direct(sequences)
         for block, pred in zip(prepared.blocks, predictions):
             report.add(
                 "compute",

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-#: rows per inference slice.  Very large batches (the serve broker can
-#: merge hundreds of concurrent requests) are processed in slices of
-#: this many sequences so peak activation memory stays bounded; slicing
-#: cannot change results because rows are independent.
+#: rows per inference slice.  Very large batches (a whole evaluation
+#: dataset) are processed in slices of this many sequences so peak
+#: activation memory stays bounded; slicing cannot change results
+#: because rows are independent.
 INFER_CHUNK_ROWS = 2048
 
 
@@ -124,8 +124,7 @@ class LSTMRegressor:
         dispatch to a GEMV whose accumulation order varies with B), and
         single-row batches are padded to two rows so every matmul takes
         the same GEMM path as larger batches.  This is what makes
-        broker-merged, chunked, and per-request predictions
-        bit-identical.
+        cached, chunked, and per-request predictions bit-identical.
 
         Returns log-space predictions ``[B]``.
         """

@@ -25,12 +25,12 @@ the reproduction the same visibility over itself:
   request/span ids stamped on every record.
 * :mod:`repro.obs.reqctx` — :class:`RequestContext`, the
   contextvars-based request-correlation context: one id follows a
-  request through spans, events, logs, cache lookups, and broker
-  batches (:func:`use_request` / :func:`current_request_id`).
+  request through spans, events, logs, and cache lookups
+  (:func:`use_request` / :func:`current_request_id`).
 * :mod:`repro.obs.events` — :class:`EventJournal`, the bounded
   ring-buffer journal of typed, schema-versioned serving events
-  (request start/finish, cache hit/miss, broker batch, lazy trains,
-  slow-request captures); ``GET /v1/events`` and ``clara events``
+  (request start/finish, cache hit/miss, lazy trains, slow-request
+  captures); ``GET /v1/events`` and ``clara events``
   read it.
 * :mod:`repro.obs.slo` — :class:`SloTracker`, sliding-window
   p50/p95/p99 + error rate per endpoint, the ``/healthz`` ok/degraded

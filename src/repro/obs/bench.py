@@ -179,17 +179,13 @@ class BenchContext:
     def warm_server(self):
         """An in-process ``clara serve`` daemon on an ephemeral port.
 
-        The straggler window is zeroed so sequential bench requests
-        measure the request path, not the batching wait.  The server
-        thread is daemonic and lives for the rest of the process.
+        The server thread is daemonic and lives for the rest of the
+        process.
         """
         def build():
             from repro.serve import ServeConfig, build_server
 
-            server = build_server(
-                self.trained_clara(),
-                ServeConfig(port=0, batch_window_ms=0.0),
-            )
+            server = build_server(self.trained_clara(), ServeConfig(port=0))
             return server.start()
         return self.memo("warm_server", build)
 
@@ -266,7 +262,7 @@ def _case_predictor_infer(ctx: BenchContext) -> Callable[[], Any]:
     sequences = ctx.prepared("aggcounter").block_token_sequences()
 
     def run():
-        return predictor.predict_sequences(sequences)
+        return predictor.predict_direct(sequences)
     return run
 
 
@@ -287,7 +283,7 @@ def _case_predictor_infer_cached(ctx: BenchContext) -> Callable[[], Any]:
     predictor.predict_direct(sequences)
 
     def run():
-        return predictor.predict_sequences(sequences)
+        return predictor.predict_direct(sequences)
     return run
 
 

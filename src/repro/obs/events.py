@@ -2,14 +2,12 @@
 
 Metrics aggregate; spans profile one invocation; *events* narrate.
 The journal records discrete, schema-versioned facts as they happen —
-a request started, a prediction-cache lookup hit, the broker flushed a
-batch, a lazy per-target train ran, a request blew its latency budget
-— each stamped with a monotonic sequence number, a wall-clock
-timestamp, and the ambient request id (see :mod:`repro.obs.reqctx`).
-The daemon exposes the journal over ``GET /v1/events`` and the CLI
-reads it with ``clara events``; ROADMAP item 4's online re-advisor
-will publish its re-ranking decisions here as ``decision_change``
-events.
+a request started, a prediction-cache lookup hit, a lazy per-target
+train ran, a request blew its latency budget — each stamped with a
+monotonic sequence number, a wall-clock timestamp, and the ambient
+request id (see :mod:`repro.obs.reqctx`).  The daemon exposes the
+journal over ``GET /v1/events`` and the CLI reads it with
+``clara events``.
 
 The buffer is bounded (:class:`collections.deque` with ``maxlen``), so
 emitting is O(1), memory is capped, and old events fall off the end —
@@ -41,19 +39,15 @@ __all__ = [
 #: version of the event dict layout (bump on incompatible changes).
 EVENT_SCHEMA = 1
 
-#: the typed event vocabulary.  ``decision_change`` is reserved for
-#: the traffic-drift re-advisor (ROADMAP item 4): emitted whenever an
-#: online advisor revises a previously served recommendation.
+#: the typed event vocabulary.
 EVENT_KINDS = (
     "request_start",     # endpoint, request id
     "request_finish",    # + status, duration_s
     "cache_hit",         # prediction-cache lookup satisfied n keys
     "cache_miss",        # prediction-cache lookup missed n keys
-    "broker_batch",      # batch flush: jobs, sequences, wait, ids
     "target_train",      # lazy per-target Clara train (serve)
     "colocation_train",  # lazy colocation-ranker train (serve)
     "slow_request",      # request over the latency threshold (+ spans)
-    "decision_change",   # reserved: online re-advisor revised a call
 )
 
 

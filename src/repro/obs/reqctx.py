@@ -12,11 +12,9 @@ The context lives in a :class:`contextvars.ContextVar`, which is
 *per-thread* (each thread starts from a copy of the creating context
 only when using ``contextvars`` propagation explicitly; a plain
 ``threading.Thread`` starts empty).  That isolation is exactly right
-for the daemon — every request is handled on its own thread — but it
-also means background threads (the predict-broker batcher) do not see
-the submitting request's context automatically; the broker carries
-request ids on its jobs and re-establishes a context around the batch
-instead (see :mod:`repro.serve.broker`).
+for the daemon — every request, its one-time LSTM call included, is
+handled on its own thread — but it also means a background thread
+does not see a request's context unless it opens one itself.
 """
 
 from __future__ import annotations

@@ -3,14 +3,11 @@
 ``clara analyze`` pays full process startup plus artifact load for a
 single prediction; ``clara serve`` loads the trained advisors **once**
 and then answers analyze/lint/colocation requests over JSON-over-HTTP,
-batching predictor inference across concurrent requests so throughput
-scales with concurrency.  The pieces:
+each on its own thread.  The pieces:
 
 * :mod:`repro.serve.schemas` — the versioned request dataclasses and
   the single response envelope shared *byte-for-byte* with the CLI's
   ``--json`` output (one serializer, two transports);
-* :mod:`repro.serve.broker` — :class:`PredictBroker`, the batching
-  inference broker installed as the predictor's serving hook;
 * :mod:`repro.serve.handlers` — :class:`ClaraService`, transport-
   agnostic request execution over one warm Clara;
 * :mod:`repro.serve.server` — :class:`ClaraServer`, the stdlib
@@ -27,7 +24,6 @@ In-process embedding (tests, bench, notebooks)::
     server.shutdown()
 """
 
-from repro.serve.broker import PredictBroker
 from repro.serve.handlers import ClaraService, run_lint_reports
 from repro.serve.schemas import (
     WIRE_SCHEMA,
@@ -59,7 +55,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "LintRequest",
-    "PredictBroker",
     "ServeConfig",
     "WIRE_SCHEMA",
     "analysis_result_payload",

@@ -6,16 +6,18 @@ server calls it from its worker threads; the CLI's ``--json`` paths
 call the same serializers — one implementation, two transports, so the
 payloads cannot drift apart.
 
-Thread model: analyze/lint/colocation only *read* the fitted advisors
-(each call builds its own interpreter and profile), so concurrent
-execution is safe.  Analyses of an NF share one memoized static
-analysis (lowered module, predictions, accelerator regions, lint
-report) per warm Clara, which no request mutates; the memo is
-lock-guarded inside :class:`~repro.core.Clara`.  The mutating
-operations are serialized: the lazily trained colocation ranker and
-per-target Claras behind locks, and predictor inference — which only
-an NF's first analysis reaches — behind the
-:class:`~repro.serve.broker.PredictBroker`.
+Thread model: each request runs on its own handler thread, and
+analyze/lint/colocation only *read* the fitted advisors (each call
+builds its own interpreter and profile), so concurrent execution is
+safe.  Analyses of an NF share one memoized static analysis (lowered
+module, predictions, accelerator regions, lint report) per warm Clara,
+which no request mutates; the memo is lock-guarded inside
+:class:`~repro.core.Clara`.  An NF's first analysis runs its one LSTM
+call on its own request thread: inference only reads the fitted
+weights, so concurrent first analyses of different NFs predict side by
+side, as the lazily trained per-target Claras always have.  The
+mutating operations — training the colocation ranker and the
+per-target Claras — are serialized behind locks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.errors import ClaraError
 from repro.obs import get_logger, span
 from repro.obs.events import EVENT_KINDS, get_journal
 from repro.obs.slo import get_slo_tracker
-from repro.serve.broker import PredictBroker
 from repro.serve.schemas import (
     REQUEST_KINDS,
     WIRE_SCHEMA,
@@ -135,60 +136,63 @@ def run_lint_reports(
 class ClaraService:
     """One warm Clara answering analyze/lint/colocation requests.
 
-    ``batch_window_s``/``max_batch`` configure the inference broker
-    (``max_batch=1`` with a zero window still serializes inference but
-    effectively disables batching).  The colocation ranker is trained
-    lazily — on the first ``colocation`` request — with
-    ``colocation_programs``/``colocation_groups`` sized deployments,
-    behind a lock so concurrent first requests train once.
+    The colocation ranker is trained lazily — on the first
+    ``colocation`` request — with ``colocation_programs``/
+    ``colocation_groups`` sized deployments, behind a lock so
+    concurrent first requests train once.
 
     Each warm Clara (the primary and every lazily trained per-target
     one) memoizes its NFs' static analyses, so only an NF's first
-    analyze request per process reaches the predictor, the broker and
-    the prediction cache; repeats answer from the memo with
-    byte-identical envelopes.
+    analyze request per process reaches the predictor; repeats answer
+    from the memo with byte-identical envelopes.  Every warm Clara's
+    predictor carries an in-memory content-addressed prediction cache,
+    so a first analysis answers the blocks the model has already seen
+    from it (results are bit-identical either way).
 
-    ``predict_cache`` attaches an in-memory content-addressed
-    prediction cache to every served predictor, lazily trained
-    per-target Claras included (a first analysis answers the blocks the
-    model has already seen from it; results are bit-identical either
-    way).  ``predictor_mode`` must be ``"lstm"``, the only predictor;
-    any other value raises :class:`~repro.errors.ClaraError`.
+    ``batch_window_s``, ``max_batch``, ``predict_cache`` and
+    ``predictor_mode`` each accept only their default, which states
+    what the service does: no batching window, one call per model
+    invocation, the prediction cache on, the LSTM predictor.  Any
+    other value raises :class:`~repro.errors.ClaraError`.
     """
 
     def __init__(
         self,
         clara,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
+        batch_window_s: float = 0.0,
+        max_batch: int = 1,
         colocation_programs: int = 12,
         colocation_groups: int = 12,
         predict_cache: bool = True,
         predictor_mode: str = "lstm",
     ) -> None:
+        # perfbench/inprocess.py is the only reader of these four; each
+        # stays, pinned, until the benchmark stops passing it.
+        for name, value, pinned in (
+            ("batch_window_s", batch_window_s, 0.0),
+            ("max_batch", max_batch, 1),
+            ("predict_cache", predict_cache, True),
+            ("predictor_mode", predictor_mode, "lstm"),
+        ):
+            if value != pinned:
+                raise ClaraError(
+                    f"{name} must be {pinned!r}, got {value!r}"
+                )
         self.clara = clara
         self.colocation_programs = int(colocation_programs)
         self.colocation_groups = int(colocation_groups)
-        self.predict_cache = bool(predict_cache)
-        if predictor_mode != "lstm":
-            raise ClaraError(
-                f"predictor_mode must be 'lstm', got {predictor_mode!r}"
-            )
         self._colocation_lock = threading.Lock()
         #: per-target warm Claras; the primary serves its own target.
         self._claras: Dict[str, Any] = {clara.nic.target.name: clara}
         self._target_lock = threading.Lock()
         self._configure_predictor(clara)
-        self.broker = PredictBroker.for_predictor(
-            clara.predictor, window_s=batch_window_s, max_batch=max_batch
-        )
 
     def _configure_predictor(self, clara) -> None:
         """Attach the service's in-memory prediction cache to one warm
         Clara."""
         # A cold Clara (healthz 503 until trained) has no weights to
         # fingerprint yet — the cache only attaches to fitted models.
-        if self.predict_cache and clara.predictor.model is not None:
+        if clara.predictor.model is not None:
             clara.enable_prediction_cache()
 
     def clara_for(self, target: Optional[str]):
@@ -196,8 +200,7 @@ class ClaraService:
 
         Non-primary targets are trained lazily on first use — same
         config and seed as the primary, artifact-cache backed — behind
-        a lock, like the colocation ranker.  Only the primary's
-        predictor goes through the inference broker.
+        a lock, like the colocation ranker.
         """
         if target is None or target == self.clara.nic.target.name:
             return self.clara
@@ -316,21 +319,16 @@ class ClaraService:
                 "available": list(list_targets()),
                 "warm": sorted(self._claras),
             },
-            "batching": {
-                "window_s": self.broker.window_s,
-                "max_batch": self.broker.max_batch,
-                "batches": self.broker.n_batches,
-                "batched_requests": self.broker.n_jobs,
-            },
             "predictor": self._predictor_health(),
         }
         return (200 if trained else 503), envelope("health", result)
 
     def _predictor_health(self) -> Dict[str, Any]:
-        """Prediction-cache stats, summed over every warm Clara (the
-        per-target ones share the service config)."""
+        """Prediction-cache stats, summed over every warm Clara."""
         hits = misses = entries = 0
-        for clara in self._claras.values():
+        # A snapshot: clara_for may add a per-target Clara meanwhile,
+        # and taking its lock would wait out a whole training run.
+        for clara in tuple(self._claras.values()):
             cache = clara.predictor.prediction_cache
             if cache is not None:
                 hits += cache.hits
@@ -338,7 +336,6 @@ class ClaraService:
                 entries += len(cache)
         return {
             "cache": {
-                "enabled": self.predict_cache,
                 "hits": hits,
                 "misses": misses,
                 "entries": entries,
@@ -398,5 +395,5 @@ class ClaraService:
         return candidates
 
     def close(self) -> None:
-        """Detach the broker (restores direct inference)."""
-        self.broker.close()
+        """Does nothing: the service holds no thread or resource to
+        release.  Kept for callers that close what they build."""

@@ -32,7 +32,7 @@ Request correlation: every request runs under a
 ``X-Clara-Request-Id`` response header and the envelope's
 ``request_id`` field, stamped on every span and JSON log line, and
 carried by the journal events the request produces (start/finish,
-cache hit/miss, broker batch).  Each request also records its own
+cache hit/miss).  Each request also records its own
 isolated span forest (a scoped tracer), which is what
 ``slow_request`` capture dumps into the journal when a request
 exceeds :attr:`ServeConfig.slow_request_ms`.
@@ -103,19 +103,18 @@ class ServeConfig:
 
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
-    #: broker straggler window, milliseconds (0 disables the wait).
-    batch_window_ms: float = 2.0
-    #: max inference calls merged into one model invocation.
-    max_batch: int = 64
+    #: ``batch_window_ms``, ``max_batch``, ``predict_cache`` and
+    #: ``predictor_mode`` accept only their defaults (``ClaraService``
+    #: rejects any other value): each request predicts on its own
+    #: thread, one call per model invocation, through the always-on
+    #: in-memory prediction cache, with the LSTM.
+    batch_window_ms: float = 0.0
+    max_batch: int = 1
     #: lazy colocation-ranker training sizes.
     colocation_programs: int = 12
     colocation_groups: int = 12
-    #: in-memory content-addressed prediction cache (a first analysis
-    #: of an NF answers the blocks the model has already seen from it;
-    #: cached and uncached results are bit-identical).
+    #: pinned, like ``batch_window_ms`` above.
     predict_cache: bool = True
-    #: must be ``"lstm"``, the only predictor (``ClaraService``
-    #: rejects any other value).
     predictor_mode: str = "lstm"
     #: a request slower than this (milliseconds) has its full span
     #: tree captured into the journal as a ``slow_request`` event
@@ -456,13 +455,12 @@ class ClaraServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop accepting, close the socket, detach the broker."""
+        """Stop accepting and close the socket."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self.service.close()
 
     def __enter__(self) -> "ClaraServer":
         return self

@@ -1,6 +1,6 @@
 """Predictor serving fast paths: generator safety, chunk boundaries,
-the content-addressed prediction cache, and broker == direct == cached
-equality.
+the content-addressed prediction cache, and threaded == direct ==
+cached equality.
 
 Session fixtures (``trained_predictor``) are never mutated — every test
 that attaches a cache works on a clone rebuilt from ``state_dict()``.
@@ -8,7 +8,9 @@ that attaches a cache works on a clone rebuilt from ``state_dict()``.
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from repro.core.predictor import (
 )
 from repro.errors import NotTrainedError
 from repro.nic.machine import NICModel
-from repro.serve.broker import PredictBroker
 
 
 def clone_of(predictor: InstructionPredictor) -> InstructionPredictor:
@@ -165,31 +166,24 @@ class TestPredictionCache:
         assert reloaded.hits == len(corpus) and reloaded.misses == 0
 
 
-class TestBrokerEquality:
-    def test_broker_batched_equals_direct_equals_cached(
-        self, predictor, corpus
-    ):
+class TestThreadedPrediction:
+    def test_threads_sharing_a_cache_equal_direct(self, predictor, corpus):
+        # Serving runs each request's predictor call on its own thread,
+        # all of them sharing one prediction cache: answers stay
+        # bit-identical and no lookup is lost from the counters.
         direct = predictor.predict_direct(corpus)
-        broker = PredictBroker.for_predictor(predictor, window_s=0.001)
+        cache = predictor.attach_prediction_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            import concurrent.futures as cf
-
-            singles = list(corpus)
-            with cf.ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(predictor.predict_sequences, [seq])
-                           for seq in singles]
-                merged = np.concatenate([f.result() for f in futures])
-            np.testing.assert_array_equal(merged, direct)
-
-            # Layer the cache under the broker: still bit-identical.
-            cache = predictor.attach_prediction_cache()
-            np.testing.assert_array_equal(
-                predictor.predict_sequences(corpus), direct
-            )
-            np.testing.assert_array_equal(
-                predictor.predict_sequences(corpus), direct
-            )
-            assert cache.hits >= len(corpus)
+            for _ in range(2):  # cold cache, then warm
+                with cf.ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(predictor.predict_direct, [seq])
+                               for seq in corpus]
+                    threaded = np.concatenate(
+                        [f.result(timeout=60) for f in futures])
+                np.testing.assert_array_equal(threaded, direct)
         finally:
-            broker.close()
-        assert len(predictor.predict_sequences(corpus)) == len(corpus)
+            sys.setswitchinterval(interval)
+        assert cache.hits + cache.misses == 2 * len(corpus)
+        assert cache.hits >= len(corpus)

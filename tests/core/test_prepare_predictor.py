@@ -55,29 +55,29 @@ class TestDataset:
 
 class TestPredictor:
     def test_fits_and_beats_trivial_baseline(self, small_dataset, trained_predictor):
-        pred = trained_predictor.predict_sequences(small_dataset.sequences)
+        pred = trained_predictor.predict_direct(small_dataset.sequences)
         y = np.asarray(small_dataset.targets)
         model_wmape = wmape(y, pred)
         mean_wmape = wmape(y, np.full_like(y, y.mean()))
         assert model_wmape < mean_wmape * 0.6
 
     def test_predictions_nonnegative(self, small_dataset, trained_predictor):
-        pred = trained_predictor.predict_sequences(small_dataset.sequences[:20])
+        pred = trained_predictor.predict_direct(small_dataset.sequences[:20])
         assert (pred >= 0).all()
 
     def test_chunked_prediction_of_long_blocks(self, trained_predictor):
         max_len = trained_predictor.max_len
         window = [["add i32 VAR INT"] * max_len]
         double = [["add i32 VAR INT"] * (2 * max_len)]
-        p_window = trained_predictor.predict_sequences(window)[0]
-        p_double = trained_predictor.predict_sequences(double)[0]
+        p_window = trained_predictor.predict_direct(window)[0]
+        p_double = trained_predictor.predict_direct(double)[0]
         # A block of exactly two identical windows predicts exactly the
         # sum of the two chunk predictions.
         assert p_double == pytest.approx(2.0 * p_window)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            InstructionPredictor().predict_sequences([["add i32 VAR INT"]])
+            InstructionPredictor().predict_direct([["add i32 VAR INT"]])
 
     def test_analyze_emits_all_insight_classes(self, trained_predictor):
         prepared = prepare_element(build_element("udpcount"))
@@ -101,7 +101,7 @@ class TestPredictor:
         prepared = prepare_element(build_element("aggcounter"))
         program = compile_module(prepared.module)
         gt = {b.name: b.n_compute for b in program.handler.blocks}
-        pred = trained_predictor.predict_sequences(
+        pred = trained_predictor.predict_direct(
             prepared.block_token_sequences()
         )
         y = np.array([gt[b.name] for b in prepared.blocks])

@@ -1,10 +1,9 @@
 """Batched LSTM inference kernel: bit-exactness guarantees.
 
-The serving fast paths (prediction cache, broker batching, chunked
-inference) are only sound because the kernel's output for a row does
-not depend on which other rows share its batch.  These tests pin that
-property down, along with the id-gather == one-hot-matmul identity the
-integer encoding relies on.
+The prediction cache and chunked inference are only sound because the
+kernel's output for a row does not depend on which other rows share
+its batch.  These tests pin that property down, along with the
+id-gather == one-hot-matmul identity the integer encoding relies on.
 """
 
 from __future__ import annotations

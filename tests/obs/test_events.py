@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs import RequestContext, use_request
 from repro.obs.events import (
-    EVENT_KINDS,
     EVENT_SCHEMA,
     EventJournal,
     emit,
@@ -29,8 +28,9 @@ class TestEmit:
 
     def test_data_kwargs_ride_along(self):
         journal = EventJournal()
-        event = journal.emit("broker_batch", n_jobs=3, wait_s=0.01)
-        assert event.data == {"n_jobs": 3, "wait_s": 0.01}
+        event = journal.emit("target_train", target="dpu-offpath",
+                             duration_s=0.01)
+        assert event.data == {"target": "dpu-offpath", "duration_s": 0.01}
 
     def test_ambient_request_id_adopted(self):
         journal = EventJournal()
@@ -56,14 +56,6 @@ class TestEmit:
         assert d["request_id"] is None
         assert d["data"] == {"target": "nfp-4000"}
         assert isinstance(d["ts"], float)
-
-    def test_decision_change_kind_is_reserved_and_valid(self):
-        # ROADMAP item 4's re-advisor publishes these; the vocabulary
-        # must already accept them.
-        assert "decision_change" in EVENT_KINDS
-        journal = EventJournal()
-        event = journal.emit("decision_change", element="nat", before=4)
-        assert event.kind == "decision_change"
 
 
 class TestRingBuffer:

@@ -3,7 +3,7 @@ ephemeral port, driven over real HTTP with urllib.
 
 The load-bearing assertions: CLI ``--json`` output and server response
 bodies are byte-identical (one serializer, two transports), concurrent
-batched inference returns exactly the sequential answers, and every
+analyses return exactly the sequential answers, and every
 ``ClaraError`` maps to its documented HTTP status.
 """
 
@@ -69,6 +69,15 @@ def post_with_content_length(server, content_length):
         conn.close()
 
 
+def predictor_lookups(service):
+    """Prediction-cache hits + misses so far, as ``/healthz`` reports
+    them: every block a predictor call looked up."""
+    status, env = service.health()
+    assert status == 200
+    cache = env["result"]["predictor"]["cache"]
+    return cache["hits"] + cache["misses"]
+
+
 def poll_journal(timeout_s=5.0, **filters):
     """Journal events matching ``filters``, polling briefly: finish and
     slow-capture events are emitted *after* the response is sent, so an
@@ -117,7 +126,6 @@ def server(clara_artifacts):
     clara = Clara.load(clara_artifacts["artifact"])
     config = ServeConfig(
         port=0,  # ephemeral
-        batch_window_ms=5.0,
         colocation_programs=6,
         colocation_groups=4,
     )
@@ -138,7 +146,6 @@ class TestHealthAndMetrics:
         assert result["ready"] is True and result["trained"] is True
         assert result["wire_schema"] == WIRE_SCHEMA
         assert "analyze_request" in result["request_kinds"]
-        assert result["batching"]["max_batch"] >= 1
         targets = result["targets"]
         assert targets["default"] == "nfp-4000"
         assert "dpu-offpath" in targets["available"]
@@ -155,6 +162,42 @@ class TestHealthAndMetrics:
             assert body_json(body)["result"]["ready"] is False
         finally:
             srv.shutdown()
+
+    def test_healthz_survives_a_concurrent_target_insert(
+        self, clara_artifacts
+    ):
+        # clara_for inserts a lazily trained per-target Clara from
+        # another request's thread while /healthz sums the warm
+        # Claras' prediction caches.
+        import sys
+
+        from repro.core import Clara
+        from repro.serve import ClaraService
+
+        clara = Clara.load(clara_artifacts["artifact"])
+        service = ClaraService(clara)
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                with service._target_lock:
+                    service._claras["churn-target"] = clara
+                with service._target_lock:
+                    del service._claras["churn-target"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=churn)
+        thread.start()
+        try:
+            for _ in range(5000):
+                status, _env = service.health()
+                assert status == 200
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
 
     def test_metrics_is_prometheus_text(self, server):
         # Generate at least one instrumented request first.
@@ -235,7 +278,7 @@ class TestAnalyze:
 
         # The sequential answers memoized each NF's static analysis, so
         # the concurrent repeats must not reach the predictor at all.
-        before = server.service.broker.n_jobs
+        before = predictor_lookups(server.service)
         barrier = threading.Barrier(len(payloads))
         concurrent = [None] * len(payloads)
 
@@ -253,10 +296,12 @@ class TestAnalyze:
             t.join()
 
         assert concurrent == sequential
-        assert server.service.broker.n_jobs == before
+        assert predictor_lookups(server.service) == before
 
-    def test_first_analysis_reaches_the_broker(self, clara_artifacts):
+    def test_first_analysis_reaches_the_predictor(self, clara_artifacts):
+        from repro.click.elements import build_element
         from repro.core import Clara
+        from repro.core.prepare import prepare_element
         from repro.serve import ClaraService
         from repro.serve.schemas import AnalyzeRequest
 
@@ -265,14 +310,80 @@ class TestAnalyze:
             "element": "udpcount",
             "workload": {"name": "t", "n_packets": 20},
         })
+        n_blocks = len(prepare_element(build_element("udpcount")).blocks)
+        assert n_blocks > 0
+        first = service.analyze(request)
+        assert predictor_lookups(service) == n_blocks
+        # A repeat is answered from the memo.
+        assert service.analyze(request) == first
+        assert predictor_lookups(service) == n_blocks
+
+    def test_concurrent_first_analyses_predict_on_request_threads(
+        self, clara_artifacts
+    ):
+        from repro.click.elements import build_element
+        from repro.core import Clara
+        from repro.core.prepare import prepare_element
+        from repro.obs.events import get_journal
+        from repro.serve.schemas import (
+            analysis_result_payload,
+            dump_envelope,
+            envelope,
+            workload_from_dict,
+        )
+
+        names = ["firewall", "forcetcp", "heavyhitter", "iplookup",
+                 "mazunat", "mininat", "tcpgen", "webtcp"]
+        workload = {"name": "t", "n_packets": 20}
+        rids = {name: f"first-{name}-{uuid.uuid4().hex}" for name in names}
+        srv = build_server(Clara.load(clara_artifacts["artifact"]),
+                           ServeConfig(port=0))
+        srv.start()
         try:
-            first = service.analyze(request)
-            assert service.broker.n_jobs == 1
-            # A repeat is answered from the memo.
-            assert service.analyze(request) == first
-            assert service.broker.n_jobs == 1
+            before = predictor_lookups(srv.service)
+            barrier = threading.Barrier(len(names), timeout=30)
+            responses = {}
+
+            def worker(name):
+                barrier.wait()
+                responses[name] = http(
+                    srv, "/v1/analyze",
+                    payload={"element": name, "workload": workload},
+                    headers={"X-Clara-Request-Id": rids[name]},
+                )
+
+            threads = [threading.Thread(target=worker, args=(name,))
+                       for name in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            after = predictor_lookups(srv.service)
         finally:
-            service.close()
+            srv.shutdown()
+
+        # Each answer equals a fresh Clara's sequential one, byte for
+        # byte once the request id is stamped in.
+        reference = Clara.load(clara_artifacts["artifact"])
+        spec = workload_from_dict(workload)
+        for name in names:
+            status, _headers, body = responses[name]
+            assert status == 200
+            analysis = reference.analyze(name, spec)
+            env = envelope("analysis_result", analysis_result_payload(
+                analysis, reference.port_config(analysis)))
+            env["request_id"] = rids[name]
+            assert body == (dump_envelope(env) + "\n").encode("utf-8")
+            # The prediction ran under the request's own context.
+            kinds = {e.kind for e in get_journal().snapshot(
+                request_id=rids[name])}
+            assert kinds & {"cache_hit", "cache_miss"}, name
+        # One predictor call per NF, each looking up all of its blocks.
+        assert after - before == sum(
+            len(prepare_element(build_element(name)).blocks)
+            for name in names
+        )
 
     def test_trace_seed_is_honored(self, server):
         def ask(seed):

@@ -84,7 +84,7 @@ class TestRaisedByLibrary:
         from repro.core.predictor import InstructionPredictor
 
         with pytest.raises(NotTrainedError):
-            InstructionPredictor().predict_sequences([["i32.add"]])
+            InstructionPredictor().predict_direct([["i32.add"]])
 
     def test_unfitted_scaleout(self):
         from repro.core.scaleout import ScaleoutAdvisor
