@@ -11,26 +11,20 @@ domain useful for offload lint proofs:
   narrowed by the branch condition, so ``n = min(n, 64)`` clamps
   propagate (:meth:`_IntervalProblem.edge_transfer`);
 * **widening** — every block widens its output against its previous
-  output once it has been visited a few times, so the fixpoint
-  terminates on arbitrary CFGs (including irreducible ones, which have
-  cycles through no natural-loop header);
+  output once it has been visited a few times, and a value that has
+  gone to top there stays top, so the fixpoint terminates on arbitrary
+  CFGs (including irreducible ones, which have cycles through no
+  natural-loop header; the argument is on :class:`_IntervalProblem`);
 * **trip-count bounds** — loop bounds are *not* read off the widened
   counter range (widening destroys it) but re-derived per loop from the
   induction variable's step, its initial interval, and the bound's
   interval at the loop entry (:func:`loop_trip_bounds`).
-
-The encoding trick: the solver only speaks frozensets with union or
-intersection meets, so an abstract environment travels as a frozenset
-of ``(value_id, lo, hi)`` facts.  Union accumulates facts from
-predecessors; the transfer function normalizes by hull-joining facts
-per value, which is exactly the interval join.  A value with no fact is
-*unconstrained* (type-based top), so dropping facts is always sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.nfir.analysis.dataflow import (
     DataflowProblem,
@@ -56,7 +50,7 @@ from repro.nfir.instructions import (
     Store,
 )
 from repro.nfir.types import IntType
-from repro.nfir.values import Argument, Constant, Value
+from repro.nfir.values import Constant, Value
 
 __all__ = [
     "Interval",
@@ -302,20 +296,36 @@ def _int_type(value: Value) -> Optional[IntType]:
 # The dataflow problem.
 # ---------------------------------------------------------------------------
 
-#: abstract environment: value id -> interval.
-Env = Dict[int, Interval]
+#: abstract environment: value (SSA value or alloca slot) -> interval.
+#: A value with no entry is *unconstrained* (type-based top), so
+#: dropping an entry is always sound.  Constants never have one.
+Env = Dict[Value, Interval]
 
 
 class _IntervalProblem(DataflowProblem):
-    """Forward/union instance of the interval domain over fact sets.
+    """Forward instance of the interval domain over :data:`Env` s.
 
-    The problem instance is stateful (per-block visit counts and
-    previous outputs drive widening), so every :func:`solve` call needs
-    a fresh instance.
+    The meet hull-joins per value.  A value that only some inputs give
+    a range keeps the join of the ranges they give: a missing entry is
+    read as "not reached yet", which keeps loop-entry ranges tight, but
+    is optimistic where the entry went missing because the value became
+    top.
+
+    Termination: once a block has been evaluated more than
+    :attr:`WIDEN_DELAY` times, each value in its output can change only
+    a bounded number of times.  It can appear once.  Each endpoint can
+    widen to its type bound once.  A value that loses its entry has
+    gone to top and stays without an entry in that block's later
+    outputs, so it disappears once.  The worklist only revisits the
+    successors of a block whose output changed, so the fixpoint
+    terminates on any CFG.
+
+    The problem instance is stateful (per-block visit counts, previous
+    outputs and the values gone to top drive widening), so every
+    :func:`solve` call needs a fresh instance.
     """
 
     direction = FORWARD
-    meet = "union"
 
     #: widening kicks in once a block has been evaluated this often —
     #: long enough to let short chains converge exactly, short enough
@@ -324,25 +334,22 @@ class _IntervalProblem(DataflowProblem):
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self.objects: Dict[int, Value] = {}
         self._visits: Dict[str, int] = {}
         self._prev_out: Dict[str, Env] = {}
+        self._gone_top: Dict[str, Set[Value]] = {}
 
-    # -- fact-set plumbing ---------------------------------------------
-    def _env_of(self, facts: FrozenSet) -> Env:
-        env: Env = {}
-        for key, lo, hi in facts:
-            iv = Interval(lo, hi)
-            prev = env.get(key)
-            env[key] = iv if prev is None else prev.join(iv)
-        return env
+    def boundary(self, function: Function) -> Env:
+        return {}
 
-    def _facts_of(self, env: Env) -> FrozenSet:
-        return frozenset((key, iv.lo, iv.hi) for key, iv in env.items())
+    def initial(self, function: Function) -> Env:
+        return {}
 
-    def _key(self, value: Value) -> int:
-        self.objects[id(value)] = value
-        return id(value)
+    def meet(self, a: Env, b: Env) -> Env:
+        merged = dict(a)
+        for value, iv in b.items():
+            prev = merged.get(value)
+            merged[value] = iv if prev is None else prev.join(iv)
+        return merged
 
     # -- evaluation ----------------------------------------------------
     def value_interval(self, value: Value, env: Env) -> Optional[Interval]:
@@ -353,7 +360,7 @@ class _IntervalProblem(DataflowProblem):
             return None
         if isinstance(value, Constant):
             return Interval.const(type_.wrap(value.value))
-        known = env.get(id(value))
+        known = env.get(value)
         if known is not None:
             capped = known.meet(Interval.top(type_))
             return capped if capped is not None else Interval.top(type_)
@@ -368,10 +375,10 @@ class _IntervalProblem(DataflowProblem):
             if instr.ptr is slot and _int_type(instr.value) is not None:
                 iv = self.value_interval(instr.value, env)
                 if iv is not None:
-                    env[self._key(slot)] = iv
+                    env[slot] = iv
                     return
             # Partial or untyped store: drop whatever we knew.
-            env.pop(id(slot), None)
+            env.pop(slot, None)
             return
         type_ = _int_type(instr)
         if type_ is None:
@@ -379,7 +386,7 @@ class _IntervalProblem(DataflowProblem):
         iv: Optional[Interval] = None
         if isinstance(instr, Load):
             if isinstance(instr.ptr, Alloca):
-                iv = env.get(id(instr.ptr))
+                iv = env.get(instr.ptr)
             # Loads through GEPs (header fields, array elements) and
             # from globals are unconstrained: type-based top captures
             # exactly the header-field range (load i8 -> [0, 255]).
@@ -423,9 +430,9 @@ class _IntervalProblem(DataflowProblem):
         if iv is not None and not iv.is_top(type_):
             capped = iv.meet(Interval.top(type_))
             if capped is not None:
-                env[self._key(instr)] = capped
+                env[instr] = capped
                 return
-        env.pop(id(instr), None)
+        env.pop(instr, None)
 
     def _cast_interval(
         self, instr: Cast, type_: IntType, env: Env
@@ -447,30 +454,33 @@ class _IntervalProblem(DataflowProblem):
         return None
 
     # -- solver hooks --------------------------------------------------
-    def transfer(self, block: BasicBlock, value: FrozenSet) -> FrozenSet:
-        env = self._env_of(value)
+    def transfer(self, block: BasicBlock, value: Env) -> Env:
+        env = dict(value)
         for instr in block.instructions:
             self._step(instr, env)
         visits = self._visits.get(block.name, 0) + 1
         self._visits[block.name] = visits
         if visits > self.WIDEN_DELAY:
             previous = self._prev_out.get(block.name, {})
-            for key, iv in list(env.items()):
-                prev = previous.get(key)
+            gone = self._gone_top.setdefault(block.name, set())
+            gone.update(v for v in previous if v not in env)
+            for v in gone:
+                env.pop(v, None)
+            for v, iv in env.items():
+                prev = previous.get(v)
                 if prev is not None and prev != iv:
-                    obj = self.objects.get(key)
-                    type_ = _int_type(obj) if obj is not None else None
+                    type_ = _int_type(v)
                     limit = (
                         type_.max_unsigned() if type_ is not None
                         else (1 << 64) - 1
                     )
-                    env[key] = prev.widen(iv, limit)
-        self._prev_out[block.name] = dict(env)
-        return self._facts_of(env)
+                    env[v] = prev.widen(iv, limit)
+        self._prev_out[block.name] = env
+        return env
 
     def edge_transfer(
-        self, source: BasicBlock, dest: BasicBlock, value: FrozenSet
-    ) -> FrozenSet:
+        self, source: BasicBlock, dest: BasicBlock, value: Env
+    ) -> Env:
         term = source.terminator
         if not isinstance(term, CondBr) or term.if_true is term.if_false:
             return value
@@ -482,16 +492,16 @@ class _IntervalProblem(DataflowProblem):
             return value
         taken = dest is term.if_true
         predicate = cond.predicate if taken else _NEGATED[cond.predicate]
-        env = self._env_of(value)
-        a = self.value_interval(cond.lhs, env)
-        b = self.value_interval(cond.rhs, env)
+        a = self.value_interval(cond.lhs, value)
+        b = self.value_interval(cond.rhs, value)
         if a is None or b is None:
             return value
+        env = dict(value)
         new_a, new_b = _refine_by_predicate(predicate, operand_type, a, b)
         self._assign_refined(cond.lhs, new_a, source, env)
         self._assign_refined(cond.rhs, new_b, source, env)
-        env[self._key(cond)] = Interval.const(1 if taken else 0)
-        return self._facts_of(env)
+        env[cond] = Interval.const(1 if taken else 0)
+        return env
 
     def _assign_refined(
         self, operand: Value, iv: Interval, source: BasicBlock, env: Env
@@ -500,7 +510,7 @@ class _IntervalProblem(DataflowProblem):
             operand, Instruction
         ):
             return
-        env[self._key(operand)] = iv
+        env[operand] = iv
         # When the operand is a whole-slot load and the slot is not
         # overwritten between the load and the branch, the slot itself
         # carries the refined range into the successor (this is what
@@ -509,11 +519,11 @@ class _IntervalProblem(DataflowProblem):
             if operand.parent is source and not self._stored_after(
                 operand, operand.ptr, source
             ):
-                current = env.get(id(operand.ptr))
+                current = env.get(operand.ptr)
                 refined = iv if current is None else (
                     current.meet(iv) or iv
                 )
-                env[self._key(operand.ptr)] = refined
+                env[operand.ptr] = refined
 
     @staticmethod
     def _stored_after(
@@ -544,19 +554,11 @@ class IntervalAnalysis:
         self._problem = _IntervalProblem(function)
         self._result: DataflowResult = solve(function, self._problem)
 
-    def _env(self, facts: FrozenSet) -> Dict[Value, Interval]:
-        raw = self._problem._env_of(facts)
-        return {
-            self._problem.objects[key]: iv
-            for key, iv in raw.items()
-            if key in self._problem.objects
-        }
-
     def env_in(self, block_name: str) -> Dict[Value, Interval]:
-        return self._env(self._result.in_sets.get(block_name, frozenset()))
+        return dict(self._result.in_sets.get(block_name, {}))
 
     def env_out(self, block_name: str) -> Dict[Value, Interval]:
-        return self._env(self._result.out_sets.get(block_name, frozenset()))
+        return dict(self._result.out_sets.get(block_name, {}))
 
     def interval_of(
         self, value: Value, env: Dict[Value, Interval]
@@ -564,16 +566,13 @@ class IntervalAnalysis:
         """The interval of ``value`` under an ``env_in``/``env_out``
         environment, defaulting to type-based top (``None`` for
         non-integer values)."""
-        raw = {id(v): iv for v, iv in env.items()}
-        return self._problem.value_interval(value, raw)
+        return self._problem.value_interval(value, env)
 
     def eval_block(self, block: BasicBlock) -> Dict[Value, Interval]:
         """Per-instruction intervals: replay the transfer over the
         block from its entry environment and record each instruction's
         interval *at its program point* (plus final slot states)."""
-        env = dict(self._problem._env_of(
-            self._result.in_sets.get(block.name, frozenset())
-        ))
+        env = self.env_in(block.name)
         out: Dict[Value, Interval] = {}
         for instr in block.instructions:
             self._problem._step(instr, env)
@@ -582,7 +581,7 @@ class IntervalAnalysis:
                 if iv is not None:
                     out[instr.cond] = iv
             elif instr.produces_value:
-                iv = env.get(id(instr))
+                iv = env.get(instr)
                 if iv is not None:
                     out[instr] = iv
         return out
@@ -593,9 +592,7 @@ class IntervalAnalysis:
         before* ``instr`` executes.  The lookup closes over a mutating
         environment: call it while handling the yielded pair, not
         after advancing the generator."""
-        env = dict(self._problem._env_of(
-            self._result.in_sets.get(block.name, frozenset())
-        ))
+        env = self.env_in(block.name)
 
         def lookup(value: Value) -> Optional[Interval]:
             return self._problem.value_interval(value, env)
@@ -609,11 +606,9 @@ class IntervalAnalysis:
     ) -> Dict[Value, Interval]:
         """The environment flowing along one CFG edge (the source's out
         refined by the branch condition)."""
-        facts = self._problem.edge_transfer(
-            source, dest,
-            self._result.out_sets.get(source.name, frozenset()),
-        )
-        return self._env(facts)
+        return dict(self._problem.edge_transfer(
+            source, dest, self._result.out_sets.get(source.name, {})
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ analysis here are stores into stack slots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.nfir.analysis.dominance import block_predecessors
 from repro.nfir.block import BasicBlock
@@ -37,31 +37,35 @@ BACKWARD = "backward"
 
 
 class DataflowProblem:
-    """One dataflow problem: direction, meet, and a transfer function.
+    """One dataflow problem: direction, lattice, and a transfer function.
 
     Subclasses set :attr:`direction` (``"forward"``/``"backward"``) and
-    :attr:`meet` (``"union"`` for may-analyses, ``"intersection"`` for
-    must-analyses), and implement :meth:`transfer`.  ``boundary`` is
-    the value at the entry (forward) or at every exit (backward);
-    ``universe`` is only consulted for intersection meets, as the
-    optimistic initial value of interior blocks.
+    implement :meth:`transfer`; they override :meth:`meet` and
+    :meth:`initial` when their lattice is not sets under union.
+    ``meet`` combines two inputs at a merge point, ``initial`` is the
+    value interior blocks start from (a must-analysis starts from its
+    universe and meets by intersection), and ``boundary`` is the value
+    at the entry (forward) or at every exit (backward).  The solver
+    shares values between blocks, so no hook may mutate its inputs.
     """
 
     direction: str = FORWARD
-    meet: str = "union"
 
-    def boundary(self, function: Function) -> FrozenSet:
+    def boundary(self, function: Function) -> Any:
         return frozenset()
 
-    def universe(self, function: Function) -> FrozenSet:
+    def initial(self, function: Function) -> Any:
         return frozenset()
 
-    def transfer(self, block: BasicBlock, value: FrozenSet) -> FrozenSet:
+    def meet(self, a: Any, b: Any) -> Any:
+        return a | b
+
+    def transfer(self, block: BasicBlock, value: Any) -> Any:
         raise NotImplementedError
 
     def edge_transfer(
-        self, source: BasicBlock, dest: BasicBlock, value: FrozenSet
-    ) -> FrozenSet:
+        self, source: BasicBlock, dest: BasicBlock, value: Any
+    ) -> Any:
         """Refine ``source``'s contribution along the edge into ``dest``
         before the meet.  The default is the identity; path-sensitive
         problems (e.g. the interval domain's branch refinement) override
@@ -72,18 +76,17 @@ class DataflowProblem:
 
 @dataclass
 class DataflowResult:
-    """Per-block fixpoint: ``in_sets[name]``/``out_sets[name]``."""
+    """Per-block fixpoint: ``in_sets[name]``/``out_sets[name]`` hold the
+    problem's lattice values."""
 
-    in_sets: Dict[str, FrozenSet] = field(default_factory=dict)
-    out_sets: Dict[str, FrozenSet] = field(default_factory=dict)
+    in_sets: Dict[str, Any] = field(default_factory=dict)
+    out_sets: Dict[str, Any] = field(default_factory=dict)
 
 
 def solve(function: Function, problem: DataflowProblem) -> DataflowResult:
     """Run the worklist algorithm for ``problem`` to a fixpoint."""
     if problem.direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction {problem.direction!r}")
-    if problem.meet not in ("union", "intersection"):
-        raise ValueError(f"unknown meet {problem.meet!r}")
 
     preds = block_predecessors(function)
     succs: Dict[str, List[BasicBlock]] = {
@@ -92,12 +95,8 @@ def solve(function: Function, problem: DataflowProblem) -> DataflowResult:
     by_name = {b.name: b for b in function.blocks}
     forward = problem.direction == FORWARD
 
-    boundary = frozenset(problem.boundary(function))
-    init = (
-        frozenset(problem.universe(function))
-        if problem.meet == "intersection"
-        else frozenset()
-    )
+    boundary = problem.boundary(function)
+    init = problem.initial(function)
     # For forward problems the meet input of a block is its preds'
     # outs; for backward problems it is its succs' ins.
     sources = preds if forward else succs
@@ -134,17 +133,9 @@ def solve(function: Function, problem: DataflowProblem) -> DataflowResult:
         if inputs:
             merged = inputs[0]
             for other in inputs[1:]:
-                merged = (
-                    merged | other
-                    if problem.meet == "union"
-                    else merged & other
-                )
+                merged = problem.meet(merged, other)
             if is_boundary(name):
-                merged = (
-                    merged | boundary
-                    if problem.meet == "union"
-                    else merged & boundary
-                )
+                merged = problem.meet(merged, boundary)
         else:
             merged = boundary if is_boundary(name) else init
         transferred = problem.transfer(dest, merged)
@@ -210,7 +201,6 @@ class DefUseChains:
 
 class _Liveness(DataflowProblem):
     direction = BACKWARD
-    meet = "union"
 
     def __init__(self, function: Function) -> None:
         # Per-block use (read before any local def) and def sets.
@@ -278,7 +268,6 @@ def slot_of(ptr: Value) -> Optional[Instruction]:
 
 class _ReachingStores(DataflowProblem):
     direction = FORWARD
-    meet = "union"
 
     def __init__(self, function: Function) -> None:
         self._stores_by_slot: Dict[int, Set[Store]] = {}
@@ -348,12 +337,14 @@ class _InitializedSlots(DataflowProblem):
     including via GEP, initializes it)."""
 
     direction = FORWARD
-    meet = "intersection"
 
-    def universe(self, function: Function) -> FrozenSet:
+    def initial(self, function: Function) -> FrozenSet:
         return frozenset(
             i for i in function.instructions() if isinstance(i, Alloca)
         )
+
+    def meet(self, a: FrozenSet, b: FrozenSet) -> FrozenSet:
+        return a & b
 
     def transfer(self, block: BasicBlock, value: FrozenSet) -> FrozenSet:
         out: Set[Value] = set(value)

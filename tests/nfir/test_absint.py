@@ -1,7 +1,8 @@
 """Interval-domain tests: the lattice operations, transfer-function
 soundness against the concrete evaluators, fixpoint termination on
-hostile CFGs (irreducible, back-edge-into-entry), and loop trip-count
-proofs — including a brute-force concrete-execution oracle."""
+hostile CFGs (irreducible, back-edge-into-entry, a value alternating
+with top), and loop trip-count proofs — including a brute-force
+concrete-execution oracle."""
 
 import pytest
 
@@ -324,6 +325,49 @@ class TestHostileCfgs:
         # No entering edge initializes the slot, so no bound is proved
         # — but the query must not crash either.
         assert loop_trip_bounds(f, analysis) == {}
+
+    @staticmethod
+    def _synthesized(case):
+        from repro.click.elements import all_elements
+        from repro.synthesis import ClickGen, extract_stats
+
+        stats = extract_stats(all_elements())
+        if case == "training-0-9":
+            return ClickGen.for_program(stats, 0, 9).element("synth_9")
+        seed, index = case
+        return ClickGen(stats, seed=seed).elements(40)[index]
+
+    @pytest.mark.parametrize(
+        "case", [(0, 29), (2, 23), "training-0-9"], ids=str
+    )
+    def test_value_alternating_with_top_settles(self, case):
+        """In these ClickGen programs a value's range alternates between
+        bounded and top (no entry) at one block, which widening alone
+        never settles.  The fixpoint must finish within 60 transfers
+        per block."""
+        from repro.click.frontend import lower_element
+        from repro.nfir.analysis.absint import _IntervalProblem
+        from repro.nfir.analysis.dataflow import solve
+
+        module = lower_element(self._synthesized(case), inline=True)
+        for function in module.functions.values():
+            problem = _IntervalProblem(function)
+            transfer = problem.transfer
+            budget = 60 * len(function.blocks)
+            calls = 0
+
+            def counted(block, value):
+                nonlocal calls
+                calls += 1
+                if calls > budget:
+                    raise AssertionError(
+                        f"{function.name}: no fixpoint after {budget}"
+                        " block transfers"
+                    )
+                return transfer(block, value)
+
+            problem.transfer = counted
+            solve(function, problem)
 
 
 class TestLoopTripBounds:

@@ -276,11 +276,3 @@ class TestSolver:
         f, _ = diamond_function()
         with pytest.raises(ValueError, match="direction"):
             solve(f, Bad())
-
-    def test_rejects_unknown_meet(self):
-        class Bad(DataflowProblem):
-            meet = "xor"
-
-        f, _ = diamond_function()
-        with pytest.raises(ValueError, match="meet"):
-            solve(f, Bad())
