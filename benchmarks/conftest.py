@@ -57,10 +57,10 @@ BENCHMARK_TRAIN_CONFIG = TrainConfig(
 
 
 @pytest.fixture(scope="session")
-def clara(nic_model) -> Clara:
+def clara() -> Clara:
     """A fully trained Clara instance (the expensive one-time phase,
     parallelized and artifact-cached)."""
-    instance = Clara(nic=nic_model, seed=0)
+    instance = Clara(seed=0)
     instance.train(
         BENCHMARK_TRAIN_CONFIG,
         workers=min(os.cpu_count() or 1, 8),

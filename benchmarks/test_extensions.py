@@ -12,13 +12,13 @@ from repro.workload import generate_trace
 from repro.workload.spec import WorkloadSpec
 
 
-def test_ext_partial_offload(write_result, benchmark):
+def test_ext_partial_offload(nic_model, write_result, benchmark):
     """A firewall with an expensive, rarely taken ACL slow path: the
     partition advisor punts the slow path to the host and beats full
     offload when the NIC is the bottleneck; as the slow-path share
     grows, the split's margin erodes."""
     n_acl = 64
-    advisor = PartitionAdvisor(cores=2)
+    advisor = PartitionAdvisor(nic_model, cores=2)
     workload = WorkloadCharacter(packet_bytes=256, emem_cache_hit_rate=0.4)
     rows = ["Extension: partial offloading of the firewall slow path",
             f"{'SYN share':>10s} {'full offload':>13s} {'best split':>11s}"

@@ -51,7 +51,7 @@ def nf_curves(clara, profiler, nic_model):
             )
             _el, module, profile, freq = profiler(nf, spec)
             program = compile_module(module, paper_placement(module))
-            wc = characterize(spec)
+            wc = characterize(spec, nic_model.hierarchy)
             sweep = nic_model.sweep_cores(program, freq, wc)
             prepared = prepare_element(build_element(nf))
             curves[(nf, spec0.name)] = {

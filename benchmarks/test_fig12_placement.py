@@ -28,13 +28,13 @@ NFS = {
 def placement_results(profiler, nic_model):
     spec = replace(SMALL_FLOWS, n_packets=300)
     out = {}
-    advisor = PlacementAdvisor()
+    advisor = PlacementAdvisor(nic_model.hierarchy)
     for nf, params in NFS.items():
         nf_spec = replace(
             spec, udp_fraction=1.0 if nf in ("udpcount", "dnsproxy") else 0.0
         )
         _el, module, profile, freq = profiler(nf, nf_spec, **params)
-        wc = characterize(nf_spec)
+        wc = characterize(nf_spec, nic_model.hierarchy)
         solution = advisor.advise(module, profile)
         # Both ports use the checksum engine: Figure 12 isolates state
         # placement ("the baseline solution does not programmatically

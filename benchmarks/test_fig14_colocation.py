@@ -101,11 +101,11 @@ def real_nf_pairs(pool_and_workload, nic_model, profiler):
         )
         _el, module, profile, freq = profiler(nf, nf_spec)
         prepared = prepare_element(build_element(nf))
-        candidates[nf] = make_candidate(prepared, profile)
+        candidates[nf] = make_candidate(prepared, profile, nic_model)
     pairs = list(itertools.combinations(REAL_NFS, 2))
     results = {
         pair: advisor.measure_pair(candidates[pair[0]], candidates[pair[1]],
-                                   characterize(spec))
+                                   characterize(spec, nic_model.hierarchy))
         for pair in pairs
     }
     return advisor, candidates, pairs, results

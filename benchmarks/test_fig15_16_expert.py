@@ -45,7 +45,7 @@ def _tcpgen_traffic(packet, index):
 
 def test_fig15_expert_placement(profiler, nic_model, write_result, benchmark):
     spec = replace(SMALL_FLOWS, n_packets=300)
-    advisor = PlacementAdvisor()
+    advisor = PlacementAdvisor(nic_model.hierarchy)
     rows = [
         "Figure 15: Clara placement (ILP) vs exhaustive expert sweep",
         f"{'NF':10s} {'port':7s} {'tput(Mpps)':>11s} {'lat(us)':>9s}",
@@ -56,7 +56,7 @@ def test_fig15_expert_placement(profiler, nic_model, write_result, benchmark):
             spec, udp_fraction=1.0 if nf in ("udpcount", "dnsproxy") else 0.0
         )
         _el, module, profile, freq = profiler(nf, nf_spec, **params)
-        wc = characterize(nf_spec)
+        wc = characterize(nf_spec, nic_model.hierarchy)
         solution = advisor.advise(module, profile)
 
         def simulate(assignment):

@@ -17,6 +17,7 @@ from repro.click.frontend import lower_element
 from repro.click.interp import Interpreter
 from repro.core.colocation import ColocationAdvisor, make_candidate
 from repro.core.prepare import prepare_element
+from repro.nic.machine import NICModel
 from repro.workload import characterize, generate_trace
 from repro.workload.spec import WorkloadSpec
 
@@ -24,7 +25,8 @@ NFS = ("mazunat", "dnsproxy", "udpcount", "webgen")
 
 
 def main() -> None:
-    advisor = ColocationAdvisor(seed=0)
+    nic = NICModel()
+    advisor = ColocationAdvisor(nic, seed=0)
     print("Building the synthesized training pool...")
     pool, pool_workload = advisor.build_candidate_pool(n_programs=16)
     print(f"Training the LambdaMART ranker on {len(pool)} candidates...")
@@ -43,7 +45,9 @@ def main() -> None:
         interp = Interpreter(module)
         install_state(interp, initial_state(element))
         profile = interp.run_trace(generate_trace(nf_spec, seed=0))
-        candidates[nf] = make_candidate(prepare_element(element), profile)
+        candidates[nf] = make_candidate(
+            prepare_element(element), profile, nic
+        )
         c = candidates[nf]
         print(f"  {nf:10s} compute/pkt={c.compute_per_pkt:7.0f}"
               f" state-mem/pkt={c.memory_per_pkt:5.1f}"
@@ -53,7 +57,7 @@ def main() -> None:
     order = advisor.rank_pairs(
         [(candidates[a], candidates[b]) for a, b in pairs]
     )
-    workload = characterize(spec)
+    workload = characterize(spec, nic.hierarchy)
     print("\nClara's colocation ranking (friendliest first), with the")
     print("measured total-throughput loss for validation:")
     for position, index in enumerate(order, start=1):

@@ -21,7 +21,7 @@ from repro.click.elements import build_element, install_state
 from repro.click.interp import Interpreter
 from repro.core.partition import PartitionAdvisor
 from repro.core.prepare import prepare_element
-from repro.nic.machine import WorkloadCharacter
+from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.workload import generate_trace
 from repro.workload.spec import WorkloadSpec
 
@@ -60,7 +60,7 @@ def profile_firewall(syn_fraction: float):
 def main() -> None:
     # Two micro-engines only: the NIC, not the wire, is the bottleneck,
     # so where the slow path runs actually matters.
-    advisor = PartitionAdvisor(cores=2)
+    advisor = PartitionAdvisor(NICModel(), cores=2)
     workload = WorkloadCharacter(packet_bytes=256, emem_cache_hit_rate=0.4)
 
     for syn_fraction in (0.02, 0.2, 0.6):

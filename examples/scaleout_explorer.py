@@ -38,7 +38,7 @@ def main() -> None:
         freq = {
             b: c / profile.packets for b, c in profile.block_counts.items()
         }
-        workload = characterize(spec)
+        workload = characterize(spec, clara.nic.hierarchy)
         sweep = clara.nic.sweep_cores(program, freq, workload)
         knee = clara.nic.optimal_cores(sweep)
 

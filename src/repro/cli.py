@@ -17,8 +17,7 @@ Commands:
   (cached or ``--load``-ed) identifier/cost model;
 * ``serve`` — the warm analysis daemon: load (or train) the advisors
   once, then answer ``analyze``/``lint``/``colocation`` requests over
-  a JSON-over-HTTP API (``POST /v1/<kind>``), batching predictor
-  inference across concurrent requests; ``GET /healthz`` is the
+  a JSON-over-HTTP API (``POST /v1/<kind>``); ``GET /healthz`` is the
   readiness probe and ``GET /metrics`` the Prometheus endpoint.
   Responses use the same versioned envelope the CLI's ``--json``
   flags print (see :mod:`repro.serve.schemas`); SIGINT/SIGTERM shut

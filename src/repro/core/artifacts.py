@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.errors import ArtifactCacheMiss, ArtifactError
+from repro.nic.targets import target_fingerprint
 from repro.obs import get_logger, get_metrics, span
 
 log = get_logger(__name__)
@@ -119,58 +120,19 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-clara"
 
 
-def _nic_fingerprint(nic: Any) -> Dict[str, Any]:
-    """The NIC constants the learned models depend on.
-
-    Includes the full target description (register budget, accelerator
-    latency table, host-DMA hop, ...) — models trained for ``nfp-4000``
-    and ``dpu-offpath`` must never share a cache key — plus the
-    model-level topology/hierarchy fields, which callers can override
-    independently of the target for ablations.
-    """
-    if nic is None:
-        return {}
-    target = getattr(nic, "target", None)
-    target_payload: Dict[str, Any] = {}
-    if target is not None:
-        from repro.nic.targets import target_fingerprint
-
-        target_payload = target_fingerprint(target)
-    hierarchy = getattr(nic, "hierarchy", None)
-    regions = []
-    if hierarchy is not None:
-        for name in sorted(hierarchy.regions):
-            region = hierarchy.regions[name]
-            regions.append(
-                [
-                    region.name,
-                    int(region.capacity_bytes),
-                    int(region.latency_cycles),
-                    float(region.bandwidth_ops),
-                ]
-            )
-    return {
-        "target": target_payload,
-        "n_cores": getattr(nic, "n_cores", None),
-        "threads_per_core": getattr(nic, "threads_per_core", None),
-        "freq_hz": getattr(nic, "freq_hz", None),
-        "line_rate_gbps": getattr(nic, "line_rate_gbps", None),
-        "regions": regions,
-    }
-
-
 def train_cache_key(
     config: TrainConfig, seed: int = 0, nic: Any = None
 ) -> str:
     """Content address of a training run: hash of (version tag, config,
-    seed, NIC constants).  Worker count is deliberately absent —
-    parallel and serial synthesis produce identical datasets."""
+    seed, the fingerprint of ``nic``'s target).  Worker count is
+    deliberately absent — parallel and serial synthesis produce
+    identical datasets."""
     payload = json.dumps(
         {
             "version": ARTIFACT_VERSION,
             "config": config.key_dict(),
             "seed": int(seed),
-            "nic": _nic_fingerprint(nic),
+            "nic": target_fingerprint(None if nic is None else nic.target),
         },
         sort_keys=True,
     )

@@ -76,16 +76,19 @@ class NFCandidate:
     def arithmetic_intensity(self) -> float:
         return self.compute_per_pkt / max(self.memory_per_pkt, 0.25)
 
-    def est_solo_pps(self, cores: int = 30, packet_bytes: int = 256) -> float:
-        """First-order solo throughput: line rate vs. compute bound."""
-        line = 40e9 / 8.0 / (packet_bytes + 20.0)
-        compute_bound = cores * 1.2e9 / max(self.compute_per_pkt, 1.0)
-        return min(line, compute_bound)
+    def est_solo_pps(self, nic: NICModel, packet_bytes: int = 256) -> float:
+        """First-order solo throughput on ``nic``: line rate vs. the
+        compute bound of half its cores, the share
+        :func:`~repro.nic.colocation.simulate_colocation` gives each NF."""
+        compute_bound = (
+            (nic.n_cores // 2) * nic.freq_hz / max(self.compute_per_pkt, 1.0)
+        )
+        return min(nic.line_rate_pps(packet_bytes), compute_bound)
 
-    def est_state_rate(self, cores: int = 30) -> float:
-        """Offered load on the shared state memory (accesses/sec) —
-        the quantity whose pairwise sum drives interference."""
-        return self.est_solo_pps(cores) * self.memory_per_pkt
+    def est_state_rate(self, nic: NICModel) -> float:
+        """Offered load on ``nic``'s shared state memory (accesses/sec)
+        — the quantity whose pairwise sum drives interference."""
+        return self.est_solo_pps(nic) * self.memory_per_pkt
 
     def to_dict(self) -> Dict[str, object]:
         """Stable JSON summary (the compiled program is omitted)."""
@@ -101,9 +104,13 @@ class NFCandidate:
 def make_candidate(
     prepared: PreparedNF,
     profile,
+    nic: NICModel,
     config: Optional[PortConfig] = None,
 ) -> NFCandidate:
-    program = compile_module(prepared.module, config or PortConfig())
+    """``prepared``'s colocation profile, compiled for ``nic``'s target."""
+    program = compile_module(
+        prepared.module, config or PortConfig(), target=nic.target
+    )
     packets = max(profile.packets, 1)
     freq = {b: c / packets for b, c in profile.block_counts.items()}
     compute = 0.0
@@ -141,19 +148,21 @@ def make_candidate(
     return NFCandidate(prepared.name, program, freq, compute, memory, ctm)
 
 
-def pair_features(a: NFCandidate, b: NFCandidate) -> np.ndarray:
+def pair_features(
+    a: NFCandidate, b: NFCandidate, nic: NICModel
+) -> np.ndarray:
     """Section 4.5's feature set, symmetrized.
 
     Beyond the paper's three (per-NF arithmetic intensity, compute
-    counts, intensity ratio) we add each NF's *memory rate* — memory
-    accesses per compute cycle, the offered load a compute-bound NF
+    counts, intensity ratio) we add each NF's *memory rate* on ``nic``
+    — memory accesses per second, the offered load a compute-bound NF
     actually puts on the shared memory subsystem — whose pairwise sum
     is the direct physical driver of interference.
     """
     ai_a, ai_b = a.arithmetic_intensity, b.arithmetic_intensity
     lo, hi = min(ai_a, ai_b), max(ai_a, ai_b)
-    rate_a = a.est_state_rate() / 1e6
-    rate_b = b.est_state_rate() / 1e6
+    rate_a = a.est_state_rate(nic) / 1e6
+    rate_b = b.est_state_rate(nic) / 1e6
     return np.array(
         [
             lo,
@@ -173,13 +182,13 @@ def pair_features(a: NFCandidate, b: NFCandidate) -> np.ndarray:
 class ColocationAdvisor:
     def __init__(
         self,
-        nic: Optional[NICModel] = None,
+        nic: NICModel,
         objective: str = "total_throughput_loss",
         seed: int = 0,
     ) -> None:
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
-        self.nic = nic or NICModel()
+        self.nic = nic
         self.objective = objective
         self.seed = seed
         self.ranker = LambdaRanker(n_rounds=50, max_depth=3, seed=seed)
@@ -283,7 +292,7 @@ class ColocationAdvisor:
             prepared = prepare_element(element)
             interp = Interpreter(prepared.module, seed=seed)
             profile = interp.run_trace(trace)
-            raw.append(make_candidate(prepared, profile))
+            raw.append(make_candidate(prepared, profile, self.nic))
         # Keep a memory-per-packet spread: the heaviest half plus an
         # even subsample of the rest.
         raw.sort(key=lambda c: -c.memory_per_pkt)
@@ -303,8 +312,8 @@ class ColocationAdvisor:
                     prepared = prepare_element(element)
                     interp = Interpreter(prepared.module, seed=seed)
                     profile = interp.run_trace(trace)
-                    pool.append(make_candidate(prepared, profile))
-        return pool, characterize(spec)
+                    pool.append(make_candidate(prepared, profile, self.nic))
+        return pool, characterize(spec, self.nic.hierarchy)
 
     def fit(
         self,
@@ -328,7 +337,7 @@ class ColocationAdvisor:
                 i, j = rng.choice(len(pool), size=2, replace=False)
                 result = self.measure_pair(pool[i], pool[j], workload)
                 losses.append(self.pair_loss(result))
-                feats.append(pair_features(pool[i], pool[j]))
+                feats.append(pair_features(pool[i], pool[j], self.nic))
             # Lower loss -> higher relevance (dense ranks).
             order = np.argsort(np.argsort(losses))
             rel = (len(losses) - 1 - order).astype(float)
@@ -347,7 +356,7 @@ class ColocationAdvisor:
     ) -> NFCandidate:
         """Uniform advisor entry point: the per-NF colocation profile
         (an :class:`NFCandidate`) ready for :meth:`rank_pairs`."""
-        return make_candidate(prepared, profile)
+        return make_candidate(prepared, profile, self.nic)
 
     def state_dict(self) -> Dict[str, object]:
         return {
@@ -370,7 +379,7 @@ class ColocationAdvisor:
         self, pairs: Sequence[Tuple[NFCandidate, NFCandidate]]
     ) -> List[int]:
         """Indices of ``pairs`` ordered friendliest-first."""
-        X = np.stack([pair_features(a, b) for a, b in pairs])
+        X = np.stack([pair_features(a, b, self.nic) for a, b in pairs])
         return list(self.ranker.rank(X))
 
 

@@ -175,9 +175,9 @@ def _scaleout_program_job(args: Tuple[Any, ...]) -> List[Any]:
         spec_small = replace(spec, n_packets=trace_packets)
         interp = Interpreter(prepared.module, seed=seed)
         profile = interp.run_trace(generate_trace(spec_small, seed=seed))
-        workload = characterize(spec_small, hierarchy=nic.hierarchy)
+        workload = characterize(spec_small, nic.hierarchy)
         features = scaleout_features(
-            prepared, block_compute, profile, workload, nic=nic
+            prepared, block_compute, profile, workload, nic
         )
         packets = max(profile.packets, 1)
         freq = {b: c / packets for b, c in profile.block_counts.items()}

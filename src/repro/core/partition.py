@@ -27,6 +27,7 @@ from repro.core.prepare import PreparedNF
 from repro.nic.compiler import compile_module
 from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.nic.port import PortConfig
+from repro.nic.regions import REGION_CTM, REGION_EMEM, REGION_EMEM_CACHE
 
 #: One PCIe round trip (DMA descriptor + doorbell + completion), in NIC
 #: cycles at 1.2GHz — about 1.5us, the commonly cited ballpark.
@@ -57,16 +58,13 @@ class Partition:
     def is_full_offload(self) -> bool:
         return not self.host_blocks
 
-    @property
-    def is_no_offload(self) -> bool:
-        return self.punt_fraction >= 1.0 and bool(self.host_blocks)
-
 
 class PartitionAdvisor:
-    """Suggests host/NIC partitions for an NF (extension of Clara)."""
+    """Suggests host/NIC partitions for an NF (extension of Clara),
+    priced on ``nic``'s target."""
 
-    def __init__(self, nic: Optional[NICModel] = None, cores: int = 20) -> None:
-        self.nic = nic or NICModel()
+    def __init__(self, nic: NICModel, cores: int = 20) -> None:
+        self.nic = nic
         self.cores = cores
 
     # -- cost building blocks -------------------------------------------
@@ -80,7 +78,16 @@ class PartitionAdvisor:
         the NIC (issue + uninflated memory latencies + API costs)."""
         from repro.nic.libnfp import api_cost, sw_checksum_cycles
 
-        program = compile_module(prepared.module, config or PortConfig())
+        program = compile_module(
+            prepared.module, config or PortConfig(), target=self.nic.target
+        )
+        latency = self.nic.hierarchy.latency
+        hit = workload.emem_cache_hit_rate
+        state_cycles = (
+            hit * float(latency(REGION_EMEM_CACHE))
+            + (1.0 - hit) * float(latency(REGION_EMEM))
+        )
+        ctm_cycles = float(latency(REGION_CTM))
         out: Dict[str, float] = {}
         for block in program.handler.blocks:
             cycles = 0.0
@@ -89,10 +96,9 @@ class PartitionAdvisor:
                 if instr.is_memory:
                     region = instr.region or "emem"
                     if region.startswith("state:"):
-                        hit = workload.emem_cache_hit_rate
-                        cycles += hit * 90.0 + (1.0 - hit) * 300.0
-                    elif region == "ctm":
-                        cycles += 55.0
+                        cycles += state_cycles
+                    elif region == REGION_CTM:
+                        cycles += ctm_cycles
                 if instr.opcode == "call" and instr.srcs:
                     callee = instr.srcs[0]
                     if callee == "sw_checksum":
@@ -134,8 +140,11 @@ class PartitionAdvisor:
         nic_cycles_total = 0.0
         host_cycles_total = 0.0
         for path, count in profile.path_counts.items():
+            # Sorted: a frozenset's order follows the string hash seed,
+            # and float sums must not.
             path_cost = sum(
-                block_cycles.get(b, 0.0) * trips.get(b, 1.0) for b in path
+                block_cycles.get(b, 0.0) * trips.get(b, 1.0)
+                for b in sorted(path)
             )
             if path & host_blocks:
                 punted += count
@@ -147,7 +156,11 @@ class PartitionAdvisor:
             else:
                 nic_cycles_total += count * path_cost
         punt_fraction = punted / packets
-        nic_per_pkt = nic_cycles_total / packets + 120.0
+        # The per-packet ingress and egress path, as the machine model
+        # charges it.
+        target = self.nic.target
+        path_overhead = target.ingress_cycles + target.egress_cycles
+        nic_per_pkt = nic_cycles_total / packets + path_overhead
         nic_per_pkt += punt_fraction * PCIE_CROSSING_CYCLES
         host_per_punted = (
             host_cycles_total / punted if punted else 0.0

@@ -174,19 +174,18 @@ class Clara:
 
     def __init__(
         self,
-        nic: Optional[NICModel] = None,
         seed: int = 0,
         target: "str | TargetDescription | None" = None,
     ) -> None:
         """``target`` selects the registered NIC backend the pipeline
-        models (default ``nfp-4000``); passing an explicit ``nic``
-        model overrides it entirely."""
-        self.nic = nic or NICModel(target=target)
+        models (default ``nfp-4000``); every advisor prices its advice
+        on that target's model."""
+        self.nic = NICModel(target)
         self.seed = seed
         self.predictor = InstructionPredictor(seed=seed)
         self.identifier = AlgorithmIdentifier(seed=seed)
-        self.scaleout = ScaleoutAdvisor(nic=self.nic, seed=seed)
-        self.placement = PlacementAdvisor(hierarchy=self.nic.hierarchy)
+        self.scaleout = ScaleoutAdvisor(self.nic, seed=seed)
+        self.placement = PlacementAdvisor(self.nic.hierarchy)
         self.coalescing = CoalescingAdvisor(seed=seed)
         #: trained lazily by :meth:`train_colocation`.
         self.colocation: Optional["ColocationAdvisor"] = None
@@ -302,7 +301,7 @@ class Clara:
         with span("train_colocation", n_programs=n_programs,
                   n_groups=n_groups, objective=objective):
             advisor = ColocationAdvisor(
-                nic=self.nic, objective=objective, seed=self.seed
+                self.nic, objective=objective, seed=self.seed
             )
             with span("build_candidate_pool"):
                 pool, workload = advisor.build_candidate_pool(
@@ -397,7 +396,7 @@ class Clara:
         else:
             from repro.core.colocation import ColocationAdvisor
 
-            advisor = ColocationAdvisor(nic=self.nic, seed=self.seed)
+            advisor = ColocationAdvisor(self.nic, seed=self.seed)
             advisor.load_state_dict(colocation_state)
             self.colocation = advisor
         self.seed = int(state.get("seed", self.seed))
@@ -411,20 +410,17 @@ class Clara:
         return save_state(self.state_dict(), path)
 
     @classmethod
-    def load(cls, path, nic: Optional[NICModel] = None) -> "Clara":
-        """A Clara instance restored from a :meth:`save` artifact.
-
-        When ``nic`` is not given, the NIC model is rebuilt from the
-        target description recorded in the artifact (pre-registry
-        artifacts recorded none and default to the NFP)."""
+    def load(cls, path) -> "Clara":
+        """A Clara restored from a :meth:`save` artifact, modelling the
+        target description the artifact recorded.  Artifacts saved
+        before the target registry recorded none; they model the
+        default NFP."""
         state = load_state(path)
-        if nic is None:
-            target_payload = state.get("target")
-            if target_payload is not None:
-                nic = NICModel(
-                    target=TargetDescription.from_dict(target_payload)
-                )
-        clara = cls(nic=nic, seed=int(state.get("seed", 0)))
+        payload = state.get("target")
+        target = (
+            None if payload is None else TargetDescription.from_dict(payload)
+        )
+        clara = cls(seed=int(state.get("seed", 0)), target=target)
         return clara.load_state_dict(state)
 
     # -- per-NF analysis ---------------------------------------------------
@@ -492,7 +488,7 @@ class Clara:
             prepared = replace(static.prepared, element=element)
             profile = self.profile_on_host(prepared, spec, state, trace_seed)
             with span("characterize"):
-                workload = characterize(spec, hierarchy=self.nic.hierarchy)
+                workload = characterize(spec, self.nic.hierarchy)
 
             # Copies, so nothing this request adds or sets reaches the
             # memo.

@@ -10,27 +10,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.nic.regions import MemoryHierarchy
-from repro.nic.targets import resolve_target
 from repro.obs import span
-
-
-def _default_hierarchy() -> MemoryHierarchy:
-    """Hierarchy of the default registered target (the NFP)."""
-    return resolve_target(None).hierarchy()
 
 
 @dataclass
 class PlacementProblem:
-    """Sizes and access frequencies of an NF's stateful structures."""
+    """Sizes and access frequencies of an NF's stateful structures, and
+    the target memory hierarchy they are placed in."""
 
     names: List[str]
     sizes: List[int]          # bytes
     frequencies: List[float]  # accesses per packet (host-profiled)
-    hierarchy: MemoryHierarchy = field(default_factory=_default_hierarchy)
+    hierarchy: MemoryHierarchy
 
     def __post_init__(self) -> None:
         if not (len(self.names) == len(self.sizes) == len(self.frequencies)):
@@ -175,10 +170,11 @@ def expert_search(
 
 
 class PlacementAdvisor:
-    """Clara's placement insight generator."""
+    """Clara's placement insight generator for one target's memory
+    hierarchy."""
 
-    def __init__(self, hierarchy: Optional[MemoryHierarchy] = None) -> None:
-        self.hierarchy = hierarchy or _default_hierarchy()
+    def __init__(self, hierarchy: MemoryHierarchy) -> None:
+        self.hierarchy = hierarchy
 
     def problem_from_profile(
         self, module, profile

@@ -21,7 +21,6 @@ from repro.click.elements import all_elements
 from repro.core.artifacts import (
     ArtifactCache,
     PredictionCache,
-    _nic_fingerprint,
     sequence_key,
 )
 from repro.core.insights import InsightReport
@@ -40,6 +39,7 @@ from repro.nic.compiler import compile_module
 from repro.nic.isa import NICProgram
 from repro.nic.libnfp import api_cost
 from repro.nic.port import PortConfig
+from repro.nic.targets import target_fingerprint
 from repro.obs import span
 from repro.synthesis.stats import extract_stats
 
@@ -193,7 +193,7 @@ class InstructionPredictor:
         fresh namespace."""
         payload = {
             "model": self.model_fingerprint(),
-            "nic": _nic_fingerprint(nic),
+            "nic": target_fingerprint(None if nic is None else nic.target),
         }
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]

@@ -32,7 +32,7 @@ def scaleout_features(
     block_compute: Mapping[str, float],
     profile: ExecutionProfile,
     workload: WorkloadCharacter,
-    nic: Optional[NICModel] = None,
+    nic: NICModel,
 ) -> np.ndarray:
     """Feature vector for the cost model.
 
@@ -70,7 +70,6 @@ def scaleout_features(
         api_issue += per_pkt * cost.cycles
         api_accesses += per_pkt * sum(c for _k, _s, c in cost.accesses)
 
-    nic = nic or NICModel()
     from repro.nic.regions import REGION_EMEM, REGION_EMEM_CACHE
 
     intensity = compute_per_pkt / max(stateful_per_pkt + api_accesses, 0.25)
@@ -89,7 +88,7 @@ def scaleout_features(
     )
     # Little's-law knee estimates: cores for the concurrency bound to
     # reach line rate, and for the single-issue compute bound to do so.
-    line_rate_pps = nic.line_rate_gbps * 1e9 / 8.0 / (workload.packet_bytes + 20.0)
+    line_rate_pps = nic.line_rate_pps(workload.packet_bytes)
     n_concurrency = line_rate_pps * (issue_est + mem_est) / (
         float(nic.threads_per_core) * nic.freq_hz
     )
@@ -124,11 +123,11 @@ class ScaleoutAdvisor:
 
     def __init__(
         self,
-        nic: Optional[NICModel] = None,
+        nic: NICModel,
         seed: int = 0,
         model: Optional[object] = None,
     ) -> None:
-        self.nic = nic or NICModel()
+        self.nic = nic
         self.seed = seed
         self.model = model or GBDTRegressor(
             n_rounds=120, max_depth=4, learning_rate=0.1, seed=seed
@@ -206,7 +205,7 @@ class ScaleoutAdvisor:
         if max_cores is None:
             max_cores = self.nic.n_cores
         features = scaleout_features(
-            prepared, block_compute, profile, workload, nic=self.nic
+            prepared, block_compute, profile, workload, self.nic
         )
         raw = float(self.model.predict(features[None, :])[0])
         return int(np.clip(round(raw), 1, max_cores))

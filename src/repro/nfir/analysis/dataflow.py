@@ -30,7 +30,7 @@ from repro.nfir.instructions import (
     Phi,
     Store,
 )
-from repro.nfir.values import Argument, Constant, Value
+from repro.nfir.values import Constant, Value
 
 FORWARD = "forward"
 BACKWARD = "backward"

@@ -36,7 +36,7 @@ from repro.nfir.annotate import (
 )
 from repro.nfir.function import Function, GlobalVariable, Module
 from repro.nfir.instructions import Call, GEP, Instruction, Load, Store
-from repro.nfir.types import ArrayType, IntType, StructType
+from repro.nfir.types import ArrayType, StructType
 from repro.nfir.values import Value
 
 __all__ = [

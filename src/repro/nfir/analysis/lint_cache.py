@@ -6,8 +6,8 @@ emits), the suppression directives (``clara-disable`` metadata is not
 part of the printed form), the selected rule codes, the target
 fingerprint, and the report schema.  Warm re-lints of an unchanged
 corpus then cost one hash + one pickle load per element instead of a
-full abstract-interpretation pass — the property ``clara serve`` and
-CI lean on.
+full abstract-interpretation pass.  ``POST /v1/lint`` and
+``clara lint --cache auto`` use it; CI lints with the cache off.
 
 Entries live in the same :class:`~repro.core.artifacts.ArtifactCache`
 directory as trained model states (``$REPRO_CLARA_CACHE`` overrides
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.nfir.analysis.lint import (
     LINT_REPORT_SCHEMA,

@@ -4,6 +4,8 @@ Models a Netronome-style NFP: ``n_cores`` wimpy micro-engines at 1.2GHz
 (paper Section 4.2: "60x 1.2GHz cores"), 8 hardware threads per engine
 hiding memory latency, run-to-completion packet processing, shared
 memory regions with finite bandwidth, and a 40Gbps line-rate cap.
+Those are the ``nfp-4000`` target's constants; a model takes all of
+its constants from one :class:`~repro.nic.targets.TargetDescription`.
 
 Given a compiled :class:`~repro.nic.isa.NICProgram`, per-packet basic
 block frequencies (obtained by host-side profiling — valid because
@@ -32,12 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.nic.isa import FunctionAsm, NICInstruction, NICProgram
 from repro.nic.libnfp import api_cost, sw_checksum_cycles
 from repro.nic.port import PortConfig
-from repro.nic.regions import (
-    MemoryHierarchy,
-    REGION_EMEM,
-    REGION_EMEM_CACHE,
-    REGION_LMEM,
-)
+from repro.nic.regions import REGION_EMEM, REGION_EMEM_CACHE, REGION_LMEM
 from repro.nic.targets import TargetDescription, resolve_target
 
 # The accelerator latency table, per-packet path overheads, and the
@@ -114,32 +111,18 @@ class NICModel:
     """The simulated NIC as a queueing-style analytical machine."""
 
     def __init__(
-        self,
-        hierarchy: Optional[MemoryHierarchy] = None,
-        n_cores: Optional[int] = None,
-        threads_per_core: Optional[int] = None,
-        freq_hz: Optional[float] = None,
-        line_rate_gbps: Optional[float] = None,
-        target: "str | TargetDescription | None" = None,
+        self, target: "str | TargetDescription | None" = None
     ) -> None:
-        """A machine model for ``target`` (default ``nfp-4000``).
-
-        Explicit ``hierarchy``/topology arguments override the
-        target's declared constants (used by ablations and tests);
-        omitted ones resolve from the description.
-        """
+        """A machine model for ``target`` (default ``nfp-4000``).  Every
+        constant is copied from the target's description, the one
+        place a NIC's hardware is declared."""
         desc = resolve_target(target)
         self.target = desc
-        self.hierarchy = hierarchy or desc.hierarchy()
-        self.n_cores = desc.n_cores if n_cores is None else n_cores
-        self.threads_per_core = (
-            desc.threads_per_core if threads_per_core is None
-            else threads_per_core
-        )
-        self.freq_hz = desc.freq_hz if freq_hz is None else freq_hz
-        self.line_rate_gbps = (
-            desc.line_rate_gbps if line_rate_gbps is None else line_rate_gbps
-        )
+        self.hierarchy = desc.hierarchy()
+        self.n_cores = desc.n_cores
+        self.threads_per_core = desc.threads_per_core
+        self.freq_hz = desc.freq_hz
+        self.line_rate_gbps = desc.line_rate_gbps
         self.dispatch_cycles_per_core = desc.dispatch_cycles_per_core
 
     # -- demand extraction ------------------------------------------------

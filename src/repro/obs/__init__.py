@@ -38,14 +38,17 @@ the reproduction the same visibility over itself:
 * :mod:`repro.obs.traceexport` — :func:`write_chrome_trace` turns a
   recorded span forest into Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (the CLI's ``--trace-out``).
-* :mod:`repro.obs.sampling` — :class:`SamplingProfiler`, a
-  signal-based sampling profiler emitting flamegraph-ready collapsed
-  stacks.
+
+Two submodules are not re-exported, so that importing the package
+(every process does, the daemon included) does not load them; import
+them by name:
+
+* :mod:`repro.obs.sampling` — ``SamplingProfiler``, a signal-based
+  sampling profiler emitting flamegraph-ready collapsed stacks.
 * :mod:`repro.obs.bench` — the continuous-benchmarking harness behind
-  ``clara bench``: :func:`run_suite` times the declared pipeline
-  workloads (median-of-N + MAD) into a schema-versioned
-  :class:`BenchRun`, and :func:`compare_runs` grades regressions
-  against a baseline artifact.
+  ``clara bench``: ``run_suite`` times the declared pipeline workloads
+  (median-of-N + MAD) into a schema-versioned ``BenchRun``, and
+  ``compare_runs`` grades regressions against a baseline artifact.
 
 Typical enablement::
 
@@ -57,12 +60,6 @@ Typical enablement::
     print(report.render_profile())
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchRun,
-    compare_runs,
-    run_suite,
-)
 from repro.obs.events import (
     EVENT_SCHEMA,
     Event,
@@ -90,7 +87,6 @@ from repro.obs.reqctx import (
     new_request_id,
     use_request,
 )
-from repro.obs.sampling import SamplingProfiler
 from repro.obs.slo import SloTracker, get_slo_tracker, set_slo_tracker
 from repro.obs.trace import (
     Span,
@@ -110,8 +106,6 @@ from repro.obs.traceexport import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchRun",
     "Counter",
     "EVENT_SCHEMA",
     "Event",
@@ -124,13 +118,11 @@ __all__ = [
     "RUN_REPORT_SCHEMA",
     "RequestContext",
     "RunReport",
-    "SamplingProfiler",
     "SloTracker",
     "Span",
     "TimingTracer",
     "Tracer",
     "chrome_trace_events",
-    "compare_runs",
     "configure",
     "current_request",
     "current_request_id",
@@ -141,7 +133,6 @@ __all__ = [
     "get_slo_tracker",
     "get_tracer",
     "new_request_id",
-    "run_suite",
     "set_journal",
     "set_metrics",
     "set_slo_tracker",

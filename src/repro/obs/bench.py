@@ -94,9 +94,13 @@ class BenchContext:
 
     def __init__(self, quick: bool = False, seed: int = 0,
                  target: Optional[str] = None) -> None:
+        from repro.nic.machine import NICModel
+
         self.quick = quick
         self.seed = seed
         self.target = target
+        #: the model of ``target`` that cases price on.
+        self.nic = NICModel(target)
         self._memo: Dict[str, Any] = {}
 
     def memo(self, key: str, factory: Callable[[], Any]) -> Any:
@@ -133,7 +137,7 @@ class BenchContext:
             interp = Interpreter(self.prepared(name).module, seed=self.seed)
             install_state(interp, initial_state(build_element(name)))
             profile = interp.run_trace(generate_trace(spec, seed=self.seed))
-            return profile, characterize(spec)
+            return profile, characterize(spec, self.nic.hierarchy)
         return self.memo(f"profile:{name}:{n_packets}", build)
 
     def predictor_dataset(self):
@@ -344,9 +348,8 @@ def _case_algorithm_id(ctx: BenchContext) -> Callable[[], Any]:
 @register_case("scaleout_gbdt", "scale-out GBDT cost-model fit")
 def _case_scaleout_gbdt(ctx: BenchContext) -> Callable[[], Any]:
     from repro.core.scaleout import ScaleoutAdvisor
-    from repro.nic.machine import NICModel
 
-    advisor = ScaleoutAdvisor(nic=NICModel(target=ctx.target), seed=ctx.seed)
+    advisor = ScaleoutAdvisor(ctx.nic, seed=ctx.seed)
     advisor.build_training_set(
         n_programs=2 if ctx.quick else 6,
         trace_packets=60 if ctx.quick else 150,
@@ -369,6 +372,7 @@ def _case_placement_ilp(ctx: BenchContext) -> Callable[[], Any]:
         names=[f"state_{i}" for i in range(k)],
         sizes=[int(v) for v in rng.integers(8, 4096, size=k)],
         frequencies=[float(v) for v in rng.random(k)],
+        hierarchy=ctx.nic.hierarchy,
     )
 
     def run():
@@ -412,7 +416,7 @@ def _case_colocation_rank(ctx: BenchContext) -> Callable[[], Any]:
         name="coloc_bench", n_flows=50_000, zipf_alpha=0.4, n_packets=100
     )
     trace = generate_trace(spec, seed=ctx.seed)
-    workload = characterize(spec)
+    workload = characterize(spec, ctx.nic.hierarchy)
     pool = []
     for name in ("aggcounter", "udpcount", "mininat", "ratelimiter",
                  "mazunat"):
@@ -420,11 +424,13 @@ def _case_colocation_rank(ctx: BenchContext) -> Callable[[], Any]:
         prepared_nf = ctx.prepared(name)
         interp = Interpreter(prepared_nf.module, seed=ctx.seed)
         install_state(interp, initial_state(element))
-        pool.append(make_candidate(prepared_nf, interp.run_trace(trace)))
+        pool.append(
+            make_candidate(prepared_nf, interp.run_trace(trace), ctx.nic)
+        )
     n_groups = 2 if ctx.quick else 6
 
     def run():
-        return ColocationAdvisor(seed=ctx.seed).fit(
+        return ColocationAdvisor(ctx.nic, seed=ctx.seed).fit(
             pool, workload, n_groups=n_groups, group_size=3
         )
     return run

@@ -389,9 +389,9 @@ class ClaraService:
                 prepared = prepare_element(element)
                 interp = Interpreter(prepared.module, seed=trace_seed)
                 install_state(interp, initial_state(element))
-                candidates.append(
-                    make_candidate(prepared, interp.run_trace(trace))
-                )
+                candidates.append(make_candidate(
+                    prepared, interp.run_trace(trace), self.clara.nic
+                ))
         return candidates
 
     def close(self) -> None:

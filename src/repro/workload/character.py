@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.nic.machine import WorkloadCharacter
 from repro.nic.regions import MemoryHierarchy, REGION_EMEM_CACHE
-from repro.nic.targets import resolve_target
 from repro.workload.spec import WorkloadSpec
 
 
@@ -38,17 +37,17 @@ def zipf_hit_rate(cache_entries: int, n_flows: int, alpha: float) -> float:
 
 def characterize(
     spec: WorkloadSpec,
+    hierarchy: MemoryHierarchy,
     state_entry_bytes: int = 128,
-    hierarchy: MemoryHierarchy | None = None,
     flow_cache_entries: int = 8192,
 ) -> WorkloadCharacter:
-    """Build the performance-model character for a workload.
+    """Build the performance-model character for a workload on a
+    target's memory ``hierarchy``.
 
     ``state_entry_bytes`` is the per-flow footprint of the NF's state
-    (flow-table entry size); the EMEM cache holds
+    (flow-table entry size); the hierarchy's EMEM cache holds
     ``cache_capacity / entry_bytes`` hot entries.
     """
-    hierarchy = hierarchy or resolve_target(None).hierarchy()
     cache_capacity = hierarchy.region(REGION_EMEM_CACHE).capacity_bytes
     cache_entries = max(1, cache_capacity // max(state_entry_bytes, 1))
     emem_hit = zipf_hit_rate(cache_entries, spec.n_flows, spec.zipf_alpha)

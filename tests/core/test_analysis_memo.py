@@ -121,7 +121,7 @@ class TestInvalidation:
         assert memo_keys(clara) == []
         after = body(clara, "udpcount", spec)
         assert after != before
-        reference = Clara(nic=clara.nic).load_state_dict(state)
+        reference = Clara(target=clara.nic.target).load_state_dict(state)
         assert after == body(reference, "udpcount", spec)
 
     def test_train_drops_the_memo(self, fresh):
@@ -135,7 +135,9 @@ class TestInvalidation:
         assert memo_keys(clara) == []
         after = body(clara, "udpcount", spec)
         assert after != before
-        reference = Clara(nic=clara.nic).load_state_dict(clara.state_dict())
+        reference = Clara(target=clara.nic.target).load_state_dict(
+            clara.state_dict()
+        )
         assert after == body(reference, "udpcount", spec)
 
 

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.core.artifacts import ArtifactCache
 from repro.core.colocation import ColocationAdvisor
 from repro.core.scaleout import ScaleoutAdvisor
+from repro.nic.machine import NICModel
 from repro.workload.spec import WorkloadSpec
 
 #: Smallest configuration that still exercises every learning phase.
@@ -137,7 +138,7 @@ class TestParallelDeterminism:
 
     def test_scaleout_samples_parallel_equals_serial(self):
         def build(workers):
-            advisor = ScaleoutAdvisor(seed=5)
+            advisor = ScaleoutAdvisor(NICModel(), seed=5)
             return advisor.build_training_set(
                 n_programs=2, trace_packets=60, workers=workers
             )

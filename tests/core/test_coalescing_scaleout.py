@@ -132,8 +132,10 @@ class TestScaleoutFeatures:
         profile = interp.run_trace(generate_trace(spec, seed=0))
         program = compile_module(prepared.module)
         block_compute = {b.name: float(b.n_compute) for b in program.handler.blocks}
-        wc = characterize(spec)
-        features = scaleout_features(prepared, block_compute, profile, wc)
+        model = NICModel()
+        wc = characterize(spec, model.hierarchy)
+        features = scaleout_features(prepared, block_compute, profile, wc,
+                                     model)
         assert features.shape == (10,)
         assert features[0] > 0  # compute per packet
         assert features[1] > 0  # stateful accesses per packet
@@ -145,7 +147,7 @@ class TestScaleoutFeatures:
 class TestScaleoutAdvisor:
     @pytest.fixture(scope="class")
     def trained_advisor(self):
-        advisor = ScaleoutAdvisor(seed=1)
+        advisor = ScaleoutAdvisor(NICModel(), seed=1)
         advisor.build_training_set(n_programs=8, trace_packets=120)
         advisor.fit()
         return advisor
@@ -163,7 +165,8 @@ class TestScaleoutAdvisor:
         program = compile_module(prepared.module)
         block_compute = {b.name: float(b.n_compute) for b in program.handler.blocks}
         cores = trained_advisor.predict_cores(
-            prepared, block_compute, profile, characterize(spec)
+            prepared, block_compute, profile,
+            characterize(spec, trained_advisor.nic.hierarchy),
         )
         assert 1 <= cores <= 60
 
@@ -181,7 +184,7 @@ class TestScaleoutAdvisor:
         interp = Interpreter(prepared.module)
         spec = WorkloadSpec(name="t", n_flows=50, n_packets=100)
         profile = interp.run_trace(generate_trace(spec, seed=0))
-        wc = characterize(spec)
+        wc = characterize(spec, trained_advisor.nic.hierarchy)
         opt = trained_advisor.measure_optimal(prepared, profile, wc)
         model = trained_advisor.nic
         program = compile_module(prepared.module, PortConfig())
@@ -191,4 +194,4 @@ class TestScaleoutAdvisor:
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            ScaleoutAdvisor().fit()
+            ScaleoutAdvisor(NICModel()).fit()

@@ -14,13 +14,14 @@ from repro.core.colocation import (
 from repro.core.pipeline import Clara, TrainConfig
 from repro.core.prepare import prepare_element
 from repro.click.interp import Interpreter
+from repro.nic.machine import NICModel
 from repro.workload import generate_trace
 from repro.workload.spec import WorkloadSpec
 
 
 @pytest.fixture(scope="module")
 def candidate_pool():
-    advisor = ColocationAdvisor(seed=2)
+    advisor = ColocationAdvisor(NICModel(), seed=2)
     pool, workload = advisor.build_candidate_pool(n_programs=10)
     return advisor, pool, workload
 
@@ -35,16 +36,17 @@ class TestCandidates:
             assert cand.arithmetic_intensity > 0
 
     def test_pair_features_symmetric(self, candidate_pool):
-        _advisor, pool, _wc = candidate_pool
+        advisor, pool, _wc = candidate_pool
         a, b = pool[0], pool[1]
-        assert np.allclose(pair_features(a, b), pair_features(b, a))
+        assert np.allclose(pair_features(a, b, advisor.nic),
+                           pair_features(b, a, advisor.nic))
 
     def test_real_nf_candidate(self):
         prepared = prepare_element(build_element("mazunat"))
         interp = Interpreter(prepared.module)
         spec = WorkloadSpec(name="t", n_flows=200, n_packets=150)
         profile = interp.run_trace(generate_trace(spec, seed=0))
-        cand = make_candidate(prepared, profile)
+        cand = make_candidate(prepared, profile, NICModel())
         assert cand.name == "mazunat"
         assert cand.memory_per_pkt > 0
 
@@ -72,7 +74,7 @@ class TestMeasurement:
 
     def test_invalid_objective_rejected(self):
         with pytest.raises(ValueError):
-            ColocationAdvisor(objective="vibes")
+            ColocationAdvisor(NICModel(), objective="vibes")
 
 
 class TestRanking:

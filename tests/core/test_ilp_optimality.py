@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.placement import PlacementProblem, solve_ilp
 from repro.nic.targets import get_target
 
+NFP_HIERARCHY = get_target("nfp-4000").hierarchy()
+
 
 def _brute_force(problem: PlacementProblem):
     regions = problem.regions
@@ -50,7 +52,8 @@ def test_ilp_matches_brute_force(k, seed):
         for _ in range(k)
     ]
     freqs = [float(rng.uniform(0.0, 10.0)) for _ in range(k)]
-    problem = PlacementProblem([f"s{i}" for i in range(k)], sizes, freqs)
+    problem = PlacementProblem([f"s{i}" for i in range(k)], sizes, freqs,
+                               NFP_HIERARCHY)
     _best, brute_cost = _brute_force(problem)
     solution = solve_ilp(problem)
     assert solution.expected_cost == pytest.approx(brute_cost, rel=1e-9)
@@ -59,7 +62,7 @@ def test_ilp_matches_brute_force(k, seed):
 def test_ilp_handles_tight_packing():
     """Three 30KB structures against a 64KB CLS: exactly two fit."""
     problem = PlacementProblem(
-        ["a", "b", "c"], [30 * 1024] * 3, [5.0, 4.0, 3.0]
+        ["a", "b", "c"], [30 * 1024] * 3, [5.0, 4.0, 3.0], NFP_HIERARCHY
     )
     solution = solve_ilp(problem)
     _best, brute_cost = _brute_force(problem)
@@ -124,7 +127,8 @@ def test_ilp_matches_brute_force_with_ties(problem):
 def test_equal_structures_keep_declaration_order(names):
     """mazunat's NAT maps: equal size and frequency, and room for one
     in CLS.  The earlier-declared map gets it."""
-    problem = PlacementProblem(names, [53_248] * 2, [1.5, 1.5])
+    problem = PlacementProblem(names, [53_248] * 2, [1.5, 1.5],
+                               NFP_HIERARCHY)
     solution = solve_ilp(problem)
     assert solution.assignment == {names[0]: "cls", names[1]: "ctm"}
 

@@ -1,9 +1,15 @@
 """Tests for the extension modules: partial offloading (paper §6
 future work) and model interpretability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.click.elements import build_element, install_state
 from repro.click.interp import Interpreter
 from repro.core.explain import (
@@ -16,7 +22,7 @@ from repro.core.explain import (
 from repro.core.partition import PartitionAdvisor, PCIE_CROSSING_CYCLES
 from repro.core.prepare import prepare_element
 from repro.ml.gbdt import GBDTRegressor
-from repro.nic.machine import WorkloadCharacter
+from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.workload import generate_trace
 from repro.workload.spec import WorkloadSpec
 
@@ -63,7 +69,7 @@ class TestPathTracking:
 class TestPartitionAdvisor:
     def test_full_offload_always_candidate(self):
         prepared, profile = firewall_profiled()
-        advisor = PartitionAdvisor(cores=12)
+        advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
         best, evaluated = advisor.advise(prepared, profile, wc)
         assert any(p.is_full_offload for p in evaluated)
@@ -71,7 +77,7 @@ class TestPartitionAdvisor:
 
     def test_punt_fraction_consistency(self):
         prepared, profile = firewall_profiled(syn_fraction=0.2)
-        advisor = PartitionAdvisor(cores=12)
+        advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
         _best, evaluated = advisor.advise(prepared, profile, wc)
         for partition in evaluated:
@@ -81,7 +87,7 @@ class TestPartitionAdvisor:
 
     def test_punting_costs_pcie(self):
         prepared, profile = firewall_profiled(syn_fraction=0.3)
-        advisor = PartitionAdvisor(cores=12)
+        advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
         full = advisor.evaluate(frozenset(), prepared, profile, wc)
         all_blocks = frozenset(b.name for b in prepared.blocks)
@@ -94,7 +100,7 @@ class TestPartitionAdvisor:
         """With a rare SYN slow path, some split candidate keeps most
         traffic on the NIC."""
         prepared, profile = firewall_profiled(syn_fraction=0.02)
-        advisor = PartitionAdvisor(cores=12)
+        advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
         _best, evaluated = advisor.advise(prepared, profile, wc)
         splits = [
@@ -105,12 +111,58 @@ class TestPartitionAdvisor:
 
     def test_best_is_argmax(self):
         prepared, profile = firewall_profiled()
-        advisor = PartitionAdvisor(cores=12)
+        advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
         best, evaluated = advisor.advise(prepared, profile, wc)
         assert best.throughput_mpps == max(
             p.throughput_mpps for p in evaluated
         )
+
+    def test_same_throughputs_under_every_hash_seed(self):
+        """Paths are frozensets of block names, whose iteration order
+        follows ``PYTHONHASHSEED``; the advisor must not let that order
+        reach its float sums."""
+        assert _partition_throughputs(0) == _partition_throughputs(1)
+
+
+_HASH_SEED_PROBE = """
+from dataclasses import replace
+
+from repro.click.elements import build_element, initial_state, install_state
+from repro.click.interp import Interpreter
+from repro.core.partition import PartitionAdvisor
+from repro.core.prepare import prepare_element
+from repro.nic.machine import NICModel
+from repro.workload import characterize, generate_trace
+from repro.workload.spec import SMALL_FLOWS
+
+spec = replace(SMALL_FLOWS, n_packets=60)
+prepared = prepare_element(build_element("cmsketch"))
+interp = Interpreter(prepared.module, seed=1)
+install_state(interp, initial_state(prepared.element))
+profile = interp.run_trace(generate_trace(spec, seed=1))
+nic = NICModel()
+advisor = PartitionAdvisor(nic, cores=12)
+_best, evaluated = advisor.advise(
+    prepared, profile, characterize(spec, hierarchy=nic.hierarchy)
+)
+print(" ".join(p.throughput_mpps.hex() for p in evaluated))
+"""
+
+
+def _partition_throughputs(hash_seed: int) -> str:
+    """cmsketch's evaluated partition throughputs (small flows, 60
+    packets, trace seed 1, 12 cores) from a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return result.stdout.strip()
 
 
 class TestExplain:
@@ -158,4 +210,6 @@ class TestExplain:
         prog = NICProgram(module_name="x")
         a = NFCandidate("a", prog, {}, 100.0, 5.0)
         b = NFCandidate("b", prog, {}, 200.0, 2.0)
-        assert len(pair_features(a, b)) == len(COLOCATION_FEATURE_NAMES)
+        assert len(pair_features(a, b, NICModel())) == len(
+            COLOCATION_FEATURE_NAMES
+        )

@@ -11,10 +11,14 @@ from repro.core.placement import (
     solve_baseline,
     solve_ilp,
 )
+from repro.nic.targets import get_target
+
+NFP_HIERARCHY = get_target("nfp-4000").hierarchy()
 
 
 def problem(names, sizes, freqs):
-    return PlacementProblem(list(names), list(sizes), list(freqs))
+    return PlacementProblem(list(names), list(sizes), list(freqs),
+                            NFP_HIERARCHY)
 
 
 class TestIlp:
@@ -148,7 +152,7 @@ class TestAdvisor:
         spec = WorkloadSpec(name="t", n_flows=100, n_packets=200,
                             udp_fraction=1.0)
         profile = interp.run_trace(generate_trace(spec, seed=0))
-        advisor = PlacementAdvisor()
+        advisor = PlacementAdvisor(NFP_HIERARCHY)
         solution = advisor.advise(module, profile)
         assert set(solution.assignment) == set(module.globals)
         # The hot per-packet counter must not land in EMEM.
@@ -159,7 +163,7 @@ class TestAdvisor:
     def test_advisor_handles_stateless_nf(self, lowered_library):
         from repro.click.interp import ExecutionProfile
 
-        advisor = PlacementAdvisor()
+        advisor = PlacementAdvisor(NFP_HIERARCHY)
         solution = advisor.advise(
             lowered_library["anonipaddr"], ExecutionProfile()
         )
@@ -167,8 +171,8 @@ class TestAdvisor:
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            PlacementProblem(["a"], [0], [1.0])
+            problem(["a"], [0], [1.0])
         with pytest.raises(ValueError):
-            PlacementProblem(["a"], [4], [-1.0])
+            problem(["a"], [4], [-1.0])
         with pytest.raises(ValueError):
-            PlacementProblem(["a", "b"], [4], [1.0, 1.0])
+            problem(["a", "b"], [4], [1.0, 1.0])

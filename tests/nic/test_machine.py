@@ -203,7 +203,7 @@ class TestWorkloadKnees:
         )
         opt = {}
         for spec in (LARGE_FLOWS, SMALL_FLOWS):
-            wc = characterize(spec)
+            wc = characterize(spec, model.hierarchy)
             sweep = model.sweep_cores(prog, freq, wc)
             opt[spec.name] = model.optimal_cores(sweep)
         assert opt["small_flows"] >= opt["large_flows"]

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.obs import SamplingProfiler
+from repro.obs.sampling import SamplingProfiler
 
 
 def burn_cpu(seconds):

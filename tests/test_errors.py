@@ -88,9 +88,10 @@ class TestRaisedByLibrary:
 
     def test_unfitted_scaleout(self):
         from repro.core.scaleout import ScaleoutAdvisor
+        from repro.nic.machine import NICModel
 
         with pytest.raises(NotTrainedError):
-            ScaleoutAdvisor().fit()
+            ScaleoutAdvisor(NICModel()).fit()
 
     def test_corrupt_artifact(self, tmp_path):
         from repro.core.artifacts import load_state

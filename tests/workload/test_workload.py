@@ -9,8 +9,11 @@ from repro.workload import (
     characterize,
     generate_trace,
 )
+from repro.nic.targets import get_target
 from repro.workload.character import zipf_hit_rate
 from repro.workload.spec import WorkloadSpec
+
+NFP_HIERARCHY = get_target("nfp-4000").hierarchy()
 
 
 class TestSpec:
@@ -103,17 +106,17 @@ class TestCharacter:
         assert 0.0 <= rate <= 1.0
 
     def test_large_flows_cache_friendly(self):
-        large = characterize(LARGE_FLOWS)
-        small = characterize(SMALL_FLOWS)
+        large = characterize(LARGE_FLOWS, NFP_HIERARCHY)
+        small = characterize(SMALL_FLOWS, NFP_HIERARCHY)
         assert large.emem_cache_hit_rate > small.emem_cache_hit_rate
         assert large.flow_cache_hit_rate > small.flow_cache_hit_rate
 
     def test_bigger_state_entries_lower_hit_rate(self):
-        a = characterize(SMALL_FLOWS, state_entry_bytes=32)
-        b = characterize(SMALL_FLOWS, state_entry_bytes=512)
+        a = characterize(SMALL_FLOWS, NFP_HIERARCHY, state_entry_bytes=32)
+        b = characterize(SMALL_FLOWS, NFP_HIERARCHY, state_entry_bytes=512)
         assert a.emem_cache_hit_rate >= b.emem_cache_hit_rate
 
     def test_character_carries_packet_size(self):
-        wc = characterize(LARGE_FLOWS)
+        wc = characterize(LARGE_FLOWS, NFP_HIERARCHY)
         assert wc.packet_bytes == LARGE_FLOWS.packet_bytes
         assert wc.name == LARGE_FLOWS.name
