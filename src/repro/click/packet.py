@@ -139,6 +139,48 @@ class Packet:
                 self.udp.setdefault(name, 0)
             self.ip["ip_p"] = PROTO_UDP
 
+    @classmethod
+    def complete(
+        cls,
+        eth: Dict[str, int],
+        ip: Dict[str, int],
+        tcp: Optional[Dict[str, int]],
+        udp: Optional[Dict[str, int]],
+        payload: bytes,
+        in_port: int,
+        timestamp_ns: int,
+    ) -> "Packet":
+        """A packet from headers that already hold every field, in the
+        order ``__post_init__`` would leave them (the trace generator's
+        templates), without running that defaulting again."""
+        packet = cls.__new__(cls)
+        packet.eth = eth
+        packet.ip = ip
+        packet.tcp = tcp
+        packet.udp = udp
+        packet.payload = payload
+        packet.in_port = in_port
+        packet.timestamp_ns = timestamp_ns
+        packet.out_port = None
+        packet.dropped = False
+        return packet
+
+    def copy(self) -> "Packet":
+        """This packet with headers of its own, so running one leaves
+        the other as it was."""
+        packet = Packet.complete(
+            self.eth.copy(),
+            self.ip.copy(),
+            None if self.tcp is None else self.tcp.copy(),
+            None if self.udp is None else self.udp.copy(),
+            self.payload,
+            self.in_port,
+            self.timestamp_ns,
+        )
+        packet.out_port = self.out_port
+        packet.dropped = self.dropped
+        return packet
+
     def header(self, name: str) -> Optional[Dict[str, int]]:
         if name not in _HEADER_LAYOUTS:
             raise KeyError(name)

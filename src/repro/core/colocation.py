@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.click.elements import all_elements
-from repro.click.interp import Interpreter
+from repro.click.interp import ExecutionProfile, Interpreter
 from repro.core.prepare import PreparedNF, prepare_element
 from repro.ml.ranking import LambdaRanker
 from repro.nic.colocation import ColocationResult, simulate_colocation
@@ -287,12 +287,16 @@ class ColocationAdvisor:
         stats = extract_stats(all_elements())
         gen = ClickGen(stats, seed=seed)
         trace = generate_trace(spec, seed=seed)
+
+        def profile(prepared: PreparedNF) -> ExecutionProfile:
+            # A fresh copy per NF: the interpreter rewrites packets.
+            interp = Interpreter(prepared.module, seed=seed)
+            return interp.run_trace(p.copy() for p in trace)
+
         raw: List[NFCandidate] = []
         for element in gen.elements(n_programs * 2, prefix="coloc"):
             prepared = prepare_element(element)
-            interp = Interpreter(prepared.module, seed=seed)
-            profile = interp.run_trace(trace)
-            raw.append(make_candidate(prepared, profile, self.nic))
+            raw.append(make_candidate(prepared, profile(prepared), self.nic))
         # Keep a memory-per-packet spread: the heaviest half plus an
         # even subsample of the rest.
         raw.sort(key=lambda c: -c.memory_per_pkt)
@@ -310,9 +314,9 @@ class ColocationAdvisor:
                         compute_reps, mem_reps, ctm_reps,
                     )
                     prepared = prepare_element(element)
-                    interp = Interpreter(prepared.module, seed=seed)
-                    profile = interp.run_trace(trace)
-                    pool.append(make_candidate(prepared, profile, self.nic))
+                    pool.append(
+                        make_candidate(prepared, profile(prepared), self.nic)
+                    )
         return pool, characterize(spec, self.nic.hierarchy)
 
     def fit(

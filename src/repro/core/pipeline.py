@@ -45,7 +45,7 @@ from typing import (
 
 from repro.click.ast import ElementDef
 from repro.click.elements import build_element, initial_state, install_state
-from repro.click.interp import ExecutionProfile, Interpreter
+from repro.click.interp import ExecutionProfile, Interpreter, precompile
 from repro.core.algorithms import AlgorithmIdentifier, build_algorithm_corpus
 from repro.core.artifacts import (
     ArtifactCache,
@@ -460,7 +460,9 @@ class Clara:
         ``identify``, ``lint``) depends only on the element's content,
         the target and the fitted advisors; it runs once per distinct
         element and is then served from a bounded per-Clara LRU (see
-        :class:`StaticAnalysis`).  The per-workload half
+        :class:`StaticAnalysis`).  ``prepare`` also compiles the
+        module for the host interpreter, so later profiles of the
+        element bind that code instead of compiling.  The per-workload half
         (``profile_on_host``, ``characterize``, ``scaleout``,
         ``placement``, ``coalescing``) runs on every call and builds a
         fresh report from copies of the memoized insights.  Both halves
@@ -566,10 +568,12 @@ class Clara:
                 self._static_memo.move_to_end(key)
         memo = "miss" if record is None else "hit"
         with span("prepare", memo=memo) as sp:
-            prepared = (
-                prepare_element(element) if record is None
-                else record.prepared
-            )
+            if record is None:
+                prepared = prepare_element(element)
+                # Every later profile of this element binds this code.
+                precompile(prepared.module)
+            else:
+                prepared = record.prepared
             sp.set("n_blocks", len(prepared.blocks))
         with span("predict", memo=memo) as sp:
             insights = (

@@ -10,7 +10,13 @@ ranking accuracy, and the six distribution-divergence measures of
 Table 1).
 
 All models take an explicit ``seed`` and are deterministic.
+
+The paper-baseline models that only the evaluation benchmarks use
+(MLP, CNN, kNN, random forest, PCA and AutoML) load on first access,
+so importing the package, as the core and the daemon do, skips them.
 """
+
+import importlib
 
 from repro.ml import metrics
 from repro.ml.encoding import (
@@ -20,18 +26,33 @@ from repro.ml.encoding import (
     encode_sequence,
 )
 from repro.ml.lstm import LSTMRegressor
-from repro.ml.mlp import MLPClassifier, MLPRegressor
-from repro.ml.cnn import CNNRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
-from repro.ml.knn import KNNClassifier, KNNRegressor
 from repro.ml.svm import LinearSVM
 from repro.ml.kmeans import KMeans
-from repro.ml.pca import PCA
 from repro.ml.ranking import LambdaRanker
-from repro.ml.automl import AutoMLRegressor, AutoMLClassifier
 from repro.ml.spe import SequentialPatternExtractor
+
+#: lazily loaded name -> its module under ``repro.ml``.
+_LAZY = {
+    "MLPClassifier": "mlp",
+    "MLPRegressor": "mlp",
+    "CNNRegressor": "cnn",
+    "RandomForestRegressor": "forest",
+    "KNNClassifier": "knn",
+    "KNNRegressor": "knn",
+    "PCA": "pca",
+    "AutoMLRegressor": "automl",
+    "AutoMLClassifier": "automl",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "metrics",

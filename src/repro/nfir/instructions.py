@@ -485,23 +485,25 @@ def binary_kernel(opcode: str, type_: IntType) -> Callable[[int, int], int]:
     This is the one definition of NFIR integer arithmetic: unsigned
     wrapping to the type width, shift amounts taken modulo the width,
     and division or remainder by zero yielding 0, as on the NFP's
-    software-divide helper.  :func:`evaluate_binary` and the host
-    interpreter both call these kernels.
+    software-divide helper.  :func:`evaluate_binary` calls these
+    kernels; the host interpreter's generated code spells the same
+    formulas inline and calls the kernels for divisions.
     """
     return _binary_kernel(opcode, type_.bits)
 
 
 def icmp_kernel(predicate: str, type_: IntType) -> Callable[[int, int], int]:
     """The two-operand function computing ``icmp predicate`` at
-    ``type_``; returns 0 or 1."""
+    ``type_``; returns 0 or 1.  The host interpreter's generated code
+    spells the same formulas inline."""
     return _icmp_kernel(predicate, type_.bits)
 
 
 def evaluate_binary(opcode: str, type_: IntType, lhs: int, rhs: int) -> int:
     """Constant-fold a binary op on unsigned-wrapped integers.
 
-    Shared by the IR constant folder, the SmartNIC compiler's peephole
-    pass, and the host interpreter (through :func:`binary_kernel`) so
+    Shared by the IR constant folder and the SmartNIC compiler's
+    peephole pass; the host interpreter inlines the same formulas, so
     all three agree on arithmetic semantics.
     """
     return binary_kernel(opcode, type_)(lhs, rhs)

@@ -301,7 +301,7 @@ def _case_host_interp(ctx: BenchContext) -> Callable[[], Any]:
         initial_state,
         install_state,
     )
-    from repro.click.interp import Interpreter
+    from repro.click.interp import Interpreter, precompile
     from repro.workload import generate_trace
     from repro.workload.spec import SMALL_FLOWS
 
@@ -310,6 +310,9 @@ def _case_host_interp(ctx: BenchContext) -> Callable[[], Any]:
         (ctx.prepared(name).module, initial_state(build_element(name)))
         for name in ("mazunat", "firewall")
     ]
+    for module, _state in nfs:
+        # As Clara.analyze's prepare stage does.
+        precompile(module)
 
     def run():
         # What Clara.profile_on_host does per NF.  The interpreter
@@ -424,9 +427,9 @@ def _case_colocation_rank(ctx: BenchContext) -> Callable[[], Any]:
         prepared_nf = ctx.prepared(name)
         interp = Interpreter(prepared_nf.module, seed=ctx.seed)
         install_state(interp, initial_state(element))
-        pool.append(
-            make_candidate(prepared_nf, interp.run_trace(trace), ctx.nic)
-        )
+        # A fresh copy per NF: the interpreter rewrites packets.
+        profile = interp.run_trace(p.copy() for p in trace)
+        pool.append(make_candidate(prepared_nf, profile, ctx.nic))
     n_groups = 2 if ctx.quick else 6
 
     def run():

@@ -389,9 +389,11 @@ class ClaraService:
                 prepared = prepare_element(element)
                 interp = Interpreter(prepared.module, seed=trace_seed)
                 install_state(interp, initial_state(element))
-                candidates.append(make_candidate(
-                    prepared, interp.run_trace(trace), self.clara.nic
-                ))
+                # A fresh copy per NF: the interpreter rewrites packets.
+                profile = interp.run_trace(p.copy() for p in trace)
+                candidates.append(
+                    make_candidate(prepared, profile, self.clara.nic)
+                )
         return candidates
 
     def close(self) -> None:

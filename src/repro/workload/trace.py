@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -67,63 +67,82 @@ def load_trace(path: str) -> List[Packet]:
     return packets
 
 
+def _templates(spec: WorkloadSpec) -> Tuple[Dict[str, int], ...]:
+    """The complete headers of one trace's packets with every per-packet
+    field 0: ``eth``, then ``ip`` and ``tcp`` of a TCP packet, then
+    ``ip`` and ``udp`` of a UDP packet.  ``Packet.__post_init__`` fills
+    them in from the fields :func:`generate_trace` sets, in the order it
+    sets them, so a copy with those fields overwritten has the keys,
+    values and key order a packet built field by field would have."""
+    def ip() -> Dict[str, int]:
+        return {
+            "src_addr": 0,
+            "dst_addr": 0,
+            "ip_len": spec.packet_bytes - 14,
+            "ip_ttl": 64,
+            "ip_id": 0,
+        }
+
+    tcp = Packet(
+        ip=ip(),
+        tcp={"th_sport": 0, "th_dport": 0, "th_seq": 0, "th_flags": 0, "th_off": 5},
+    )
+    udp = Packet(
+        ip=ip(),
+        udp={"uh_sport": 0, "uh_dport": 0, "uh_ulen": spec.payload_bytes + 8},
+    )
+    return tcp.eth, tcp.ip, tcp.tcp, udp.ip, udp.udp  # type: ignore[return-value]
+
+
 def generate_trace(spec: WorkloadSpec, seed: int = 0) -> List[Packet]:
     """Generate a deterministic packet trace for a workload spec.
 
     Flow endpoints are synthesized from the flow index; flow selection
     per packet follows the Zipf popularity of the spec.  Timestamps
     advance ~1us per packet so time-window NFs see realistic gaps.
+    Each packet's headers are copies of the trace's templates (see
+    :func:`_templates`), so no packet runs the defaulting of
+    ``Packet.__post_init__``.
     """
     rng = np.random.default_rng(seed)
     n = spec.n_flows
     weights = _zipf_weights(n, spec.zipf_alpha)
-    flow_ids = rng.choice(n, size=spec.n_packets, p=weights)
-    syn_draws = rng.random(spec.n_packets)
-    udp_draws = rng.random(spec.n_packets)
+    flow_ids = rng.choice(n, size=spec.n_packets, p=weights).tolist()
+    syn_draws = rng.random(spec.n_packets).tolist()
+    udp_draws = rng.random(spec.n_packets).tolist()
     payload_rng = rng.integers(0, 256, size=max(spec.payload_bytes, 1), dtype=np.uint8)
-    base_payload = bytes(payload_rng.tolist())
+    payload = bytes(payload_rng.tolist())[: spec.payload_bytes]
+    eth, tcp_ip, tcp, udp_ip, udp = _templates(spec)
+    syn_fraction, udp_fraction = spec.syn_fraction, spec.udp_fraction
 
     packets: List[Packet] = []
-    for i in range(spec.n_packets):
-        fid = int(flow_ids[i])
-        src = (0x0A000000 | (fid & 0xFFFFFF)) & 0xFFFFFFFF
-        dst = (0xC0A80000 | ((fid * 2654435761) & 0xFFFF)) & 0xFFFFFFFF
+    for i, fid in enumerate(flow_ids):
+        is_udp = udp_draws[i] < udp_fraction
+        ip = (udp_ip if is_udp else tcp_ip).copy()
+        ip["src_addr"] = (0x0A000000 | (fid & 0xFFFFFF)) & 0xFFFFFFFF
+        ip["dst_addr"] = (0xC0A80000 | ((fid * 2654435761) & 0xFFFF)) & 0xFFFFFFFF
+        ip["ip_id"] = i & 0xFFFF
         sport = 1024 + (fid % 50000)
         dport = 80 if fid % 4 else 53
-        is_udp = udp_draws[i] < spec.udp_fraction
-        ip = {
-            "src_addr": src,
-            "dst_addr": dst,
-            "ip_len": spec.packet_bytes - 14,
-            "ip_ttl": 64,
-            "ip_id": i & 0xFFFF,
-        }
         if is_udp:
-            packet = Packet(
-                ip=ip,
-                udp={
-                    "uh_sport": sport,
-                    "uh_dport": dport,
-                    "uh_ulen": spec.payload_bytes + 8,
-                },
-                payload=base_payload[: spec.payload_bytes],
-                in_port=fid % 2,
-                timestamp_ns=i * 1000,
-            )
+            l4 = udp.copy()
+            l4["uh_sport"] = sport
+            l4["uh_dport"] = dport
         else:
-            flags = 0x02 if syn_draws[i] < spec.syn_fraction else 0x10
-            packet = Packet(
-                ip=ip,
-                tcp={
-                    "th_sport": sport,
-                    "th_dport": dport,
-                    "th_seq": (i * 331) & 0xFFFFFFFF,
-                    "th_flags": flags,
-                    "th_off": 5,
-                },
-                payload=base_payload[: spec.payload_bytes],
-                in_port=fid % 2,
-                timestamp_ns=i * 1000,
+            l4 = tcp.copy()
+            l4["th_sport"] = sport
+            l4["th_dport"] = dport
+            l4["th_seq"] = (i * 331) & 0xFFFFFFFF
+            l4["th_flags"] = 0x02 if syn_draws[i] < syn_fraction else 0x10
+        packets.append(
+            Packet.complete(
+                eth.copy(),
+                ip,
+                None if is_udp else l4,
+                l4 if is_udp else None,
+                payload,
+                fid % 2,
+                i * 1000,
             )
-        packets.append(packet)
+        )
     return packets

@@ -1,5 +1,6 @@
 """Interpreter semantics tests: framework APIs, state, profiling,
-and every runtime error the interpreter raises."""
+every runtime error the interpreter raises, and the life of its
+compiled code."""
 
 import gc
 import re
@@ -28,12 +29,14 @@ from repro.click.elements._dsl import (
     while_,
 )
 from repro.click.frontend import lower_element
+from repro.click import interp as interp_module
 from repro.click.interp import InterpError, Interpreter
 from repro.click.packet import PACKET_TYPE, Packet
 from repro.nfir.builder import IRBuilder
+from repro.nfir.block import BasicBlock
 from repro.nfir.function import Function, GlobalVariable, Module
-from repro.nfir.instructions import CALL_KIND_API
-from repro.nfir.types import I32, VOID, PointerType, StructType
+from repro.nfir.instructions import CALL_KIND_API, Instruction
+from repro.nfir.types import I1, I32, VOID, PointerType, StructType
 from repro.nfir.values import Argument, Constant
 
 
@@ -377,6 +380,51 @@ class TestInterpErrors:
 
         _run_expecting(_handler_module(build), "use of undefined value %ghost")
 
+    def test_use_of_a_value_whose_block_has_not_run(self):
+        # entry jumps to join, which reads %late's result before the
+        # block defining it ("late", run after join) has run.
+        seen = []
+
+        def build(module, fn, b):
+            late = fn.add_block("late")
+            join = fn.add_block("join")
+            b.cond_br(Constant(I1, 1), join, late)
+            b.position_at_end(late)
+            seen.append(b.add(Constant(I32, 1), Constant(I32, 2)))
+            b.br(join)
+            b.position_at_end(join)
+            b.add(seen[0], Constant(I32, 1))
+            b.ret()
+
+        module = _handler_module(build)
+        _run_expecting(module, f"use of undefined value {seen[0].ref()}")
+
+    def test_load_through_an_alloca_that_has_not_run(self):
+        # The alloca only ever serves loads and stores, so it lives in a
+        # Python local; "use" reads it before "late" allocates it.
+        def build(module, fn, b):
+            late = fn.add_block("late")
+            use = fn.add_block("use")
+            b.br(use)
+            b.position_at_end(late)
+            slot = b.alloca(I32, name="early")
+            b.ret()
+            b.position_at_end(use)
+            b.load(slot)
+            b.br(late)
+
+        _run_expecting(_handler_module(build), "use of undefined value %early")
+
+    def test_use_of_a_formal_the_caller_did_not_pass(self):
+        def build(module, fn, b):
+            callee = module.add_function(Function("twice", [("x", I32)], I32))
+            inner = IRBuilder(callee, callee.add_block("entry"))
+            inner.ret(inner.add(callee.args[0], callee.args[0]))
+            b.call("twice", [], I32)
+            b.ret()
+
+        _run_expecting(_handler_module(build), "use of undefined value %x")
+
     def test_load_through_null(self):
         def build(module, fn, b):
             b.load(Constant(PointerType(I32), 0))
@@ -473,7 +521,7 @@ class TestInterpErrors:
 class TestLifetime:
     @pytest.mark.parametrize("name", ["mazunat", "cmsketch"])
     def test_finished_interpreter_is_freed_by_refcount(self, name):
-        # Decoded closures must not tie the interpreter into a cycle:
+        # Bound compiled code must not tie the interpreter into a cycle:
         # the daemon builds one per request and drops it after.
         element = build_element(name)
         interp = Interpreter(lower_element(element, inline=True))
@@ -488,3 +536,128 @@ class TestLifetime:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+def _counting_generation(monkeypatch):
+    """The names of the functions whose code is generated from now on."""
+    generated = []
+    real = interp_module._generate
+
+    def counting(function):
+        generated.append(function.name)
+        return real(function)
+
+    monkeypatch.setattr(interp_module, "_generate", counting)
+    return generated
+
+
+class TestCompiledCode:
+    def test_a_second_interpreter_compiles_nothing(self, monkeypatch):
+        generated = _counting_generation(monkeypatch)
+        element = build_element("mazunat")
+        module = lower_element(element, inline=True)
+        for _ in range(2):
+            interp = Interpreter(module)
+            install_state(interp, initial_state(element))
+            interp.run_trace(Packet(ip={"src_addr": i}, tcp={}) for i in range(3))
+        assert generated == ["pkt_handler"]
+
+    def test_precompile_compiles_the_handler_and_its_callees(self, monkeypatch):
+        def build(module, fn, b):
+            for name in ("leaf", "spare"):
+                callee = module.add_function(Function(name))
+                IRBuilder(callee, callee.add_block("entry")).ret()
+            b.call("leaf", [], VOID)
+            b.ret()
+
+        module = _handler_module(build)
+        generated = _counting_generation(monkeypatch)
+        interp_module.precompile(module)
+        assert sorted(generated) == ["leaf", "pkt_handler"]
+        Interpreter(module).run_packet(Packet(ip={}, tcp={}))
+        assert sorted(generated) == ["leaf", "pkt_handler"]
+
+    def test_compiled_code_holds_no_ir(self):
+        module = lower_element(build_element("cmsketch"), inline=True)
+        factory = interp_module.compile_function(module.handler)
+        assert factory.__closure__ is None
+
+        def values(obj):
+            if isinstance(obj, dict):
+                for item in obj.values():
+                    yield from values(item)
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from values(item)
+            else:
+                yield obj
+
+        ir = (Module, Function, BasicBlock, Instruction, Argument, Constant)
+        assert not any(isinstance(v, ir) for v in values(factory.__globals__))
+        code = [factory.__code__]
+        while code:
+            for const in code.pop().co_consts:
+                if hasattr(const, "co_consts"):
+                    code.append(const)
+                else:
+                    assert not any(isinstance(v, ir) for v in values(const))
+
+    def test_freeing_a_module_frees_its_code(self):
+        element = build_element("cmsketch")
+        module = lower_element(element, inline=True)
+        interp = Interpreter(module)
+        install_state(interp, initial_state(element))
+        interp.run_packet(Packet(ip={"src_addr": 1}, tcp={}))
+        handler = weakref.ref(module.handler)
+        factory = weakref.ref(interp_module.compile_function(module.handler))
+        del interp, module
+        gc.collect()
+        assert handler() is None
+        assert factory() is None
+
+
+class TestAwkwardNames:
+    """Element text reaches generated source only as literals."""
+
+    NAMES = ["it's", 'say "hi"', "back\\slash", "new\nline", "\\'\n\"x"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_names_with_quotes_backslashes_and_newlines(self, name):
+        record = StructType("rec", ((name, I32),))
+        counter = GlobalVariable(f"g {name}", I32)
+
+        def build(module, fn, b):
+            callee = module.add_function(Function(f"f {name}", [], I32))
+            IRBuilder(callee, callee.add_block(f"c {name}")).ret(Constant(I32, 7))
+            body = fn.add_block(f"b {name}")
+            b.br(body)
+            b.position_at_end(body)
+            slot = b.alloca(record)
+            field = b.gep(slot, [name])
+            b.store(b.call(f"f {name}", [], I32), field)
+            total = b.add(b.load(counter), b.load(field))
+            b.store(total, counter)
+            b.ret()
+
+        interp = Interpreter(_handler_module(build, [counter]))
+        for _ in range(2):
+            interp.run_packet(Packet(ip={}, tcp={}))
+        assert interp.global_value(f"g {name}") == 14
+        assert interp.profile.block_counts[f"b {name}"] == 2
+        assert interp.profile.block_counts[f"c {name}"] == 2
+        assert interp.profile.global_access[f"g {name}"] == {"load": 2, "store": 2}
+        assert interp.profile.global_block_access[(f"g {name}", f"b {name}")] == 4
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_messages_carry_awkward_names_verbatim(self, name):
+        def build(module, fn, b):
+            callee = module.add_function(Function(f"f {name}"))
+            IRBuilder(callee, callee.add_block(f"c {name}")).add(
+                Constant(I32, 1), Constant(I32, 2)
+            )
+            b.call(f"f {name}", [], VOID)
+            b.ret()
+
+        with pytest.raises(InterpError) as caught:
+            Interpreter(_handler_module(build)).run_packet(Packet(ip={}, tcp={}))
+        assert str(caught.value) == f"block c {name} in @f {name} fell through"

@@ -5,8 +5,9 @@ caller can see afterwards: the :class:`ExecutionProfile` (every counter
 in iteration order, path signatures sorted within each frozenset), the
 final global state, and every output packet.  The committed digests in
 ``interp_golden.json`` were produced by the tree-walking interpreter
-that predates the decode-once design, so any change to what the
-interpreter computes, or to the order it records it in, fails here.
+that predates both the decode-once and the compiled designs, so any
+change to what the interpreter computes, or to the order it records it
+in, fails here.
 
 Cases: every library element under ``large_flows`` and ``small_flows``
 at 300 packets (``dpi`` and ``wepdecap`` at 5, as they are slow), plus

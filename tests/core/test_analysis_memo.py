@@ -275,3 +275,25 @@ def test_hit_spans_and_lint_counters(fresh):
     assert "predict_model" in miss_spans
     assert "predict_model" not in hit_spans
     assert miss_lint == hit_lint > 0
+
+
+def test_only_a_first_analysis_compiles_host_code(fresh, monkeypatch):
+    # prepare compiles the handler once; every later profile of the
+    # memoized element binds that code.
+    from repro.click import interp
+
+    generated = []
+    real = interp._generate
+
+    def counting(function):
+        generated.append(function.name)
+        return real(function)
+
+    monkeypatch.setattr(interp, "_generate", counting)
+    clara = fresh()
+    spec = spec_for("mazunat")
+    body(clara, "mazunat", spec)
+    assert generated == ["pkt_handler"]
+    body(clara, "mazunat", spec)
+    body(clara, "mazunat", dataclasses.replace(spec, n_packets=7), trace_seed=3)
+    assert generated == ["pkt_handler"]

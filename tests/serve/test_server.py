@@ -18,6 +18,7 @@ import pytest
 from repro.cli import main
 from repro.serve import ServeConfig, build_server
 from repro.serve.schemas import WIRE_SCHEMA
+from repro.workload.spec import LARGE_FLOWS, SMALL_FLOWS
 
 #: the wire form of the CLI's default workload at ``--packets 60``
 #: (see ``_workload_from_args``), for byte-parity tests.
@@ -413,6 +414,39 @@ class TestColocation:
         names = {(p["a"]["name"], p["b"]["name"]) for p in pairs}
         assert len(names) == 3
         assert [p["rank"] for p in pairs] == [0, 1, 2]
+
+    @pytest.mark.parametrize("shape", ["large_flows", "small_flows"])
+    def test_a_candidate_does_not_depend_on_the_order_of_elements(
+        self, server, shape
+    ):
+        # Every NF profiles its own copy of the trace: the interpreter
+        # rewrites packets (tcpack rewrites headers, udpcount drops
+        # every TCP packet), so a shared trace leaked one NF's rewrites
+        # into the next one's profile.
+        elements = ["udpcount", "tcpack", "cmsketch", "mazunat"]
+        spec = {"large_flows": LARGE_FLOWS, "small_flows": SMALL_FLOWS}[shape]
+        workload = {
+            "name": spec.name,
+            "n_flows": spec.n_flows,
+            "packet_bytes": spec.packet_bytes,
+            "zipf_alpha": spec.zipf_alpha,
+            "syn_fraction": spec.syn_fraction,
+            "payload_bytes": spec.payload_bytes,
+            "n_packets": 60,
+        }
+
+        def candidates(order):
+            status, _headers, body = http(server, "/v1/colocation", payload={
+                "elements": order, "workload": workload, "trace_seed": 1,
+            })
+            assert status == 200
+            return {
+                pair[side]["name"]: pair[side]
+                for pair in body_json(body)["result"]["pairs"]
+                for side in ("a", "b")
+            }
+
+        assert candidates(elements) == candidates(elements[::-1])
 
     def test_lazy_ranker_trains_once(self, server):
         status, _headers, body = http(server, "/healthz")

@@ -6,7 +6,8 @@ start-up time and memory until they were replaced in pure Python; a
 stray top-level import would bring either back without failing
 anything else.  Likewise the bench harness and the sampling profiler
 serve only ``clara bench``, so neither may load with the package, the
-serving daemon included.
+serving daemon included, and neither may the paper-baseline models that
+only the evaluation benchmarks use.
 """
 
 import os
@@ -18,6 +19,9 @@ import repro
 
 DROPPED = ("scipy", "networkx")
 BENCH_ONLY = ("repro.obs.bench", "repro.obs.sampling")
+BASELINE_MODELS = tuple(
+    f"repro.ml.{name}" for name in ("mlp", "cnn", "knn", "forest", "pca", "automl")
+)
 
 
 def _loaded_by_package_import(modules):
@@ -46,3 +50,16 @@ def test_package_imports_neither_scipy_nor_networkx():
 
 def test_package_import_does_not_load_the_bench_harness():
     assert _loaded_by_package_import(BENCH_ONLY) == ""
+
+
+def test_package_import_does_not_load_the_baseline_models():
+    assert _loaded_by_package_import(BASELINE_MODELS) == ""
+
+
+def test_baseline_models_still_import_from_the_package():
+    from repro.ml import AutoMLRegressor, CNNRegressor, PCA
+    from repro.ml.automl import AutoMLRegressor as direct
+
+    assert AutoMLRegressor is direct
+    assert CNNRegressor.__module__ == "repro.ml.cnn"
+    assert PCA.__module__ == "repro.ml.pca"
