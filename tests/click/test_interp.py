@@ -4,6 +4,8 @@ compiled code."""
 
 import gc
 import re
+import sys
+import threading
 import weakref
 
 import pytest
@@ -601,6 +603,40 @@ class TestCompiledCode:
                     code.append(const)
                 else:
                     assert not any(isinstance(v, ir) for v in values(const))
+
+    def test_concurrent_first_runs_share_one_compiled_function(self):
+        # Request threads profile one memoized module at once: every
+        # interpreter must bind the one cached factory and see the same
+        # profile, however many threads raced to compile it.
+        element = build_element("mazunat")
+        module = lower_element(element, inline=True)
+        packets = [{"src_addr": i % 3, "dst_addr": 7} for i in range(20)]
+        results = {}
+
+        def profile(k):
+            interp = Interpreter(module)
+            install_state(interp, initial_state(element))
+            interp.run_trace(Packet(ip=dict(ip), tcp={}) for ip in packets)
+            results[k] = (
+                interp._runners[module.handler].__code__,
+                list(interp.profile.block_counts.items()),
+                list(interp.profile.global_block_access.items()),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=profile, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        first = results[0]
+        assert all(result == first for result in results.values())
 
     def test_freeing_a_module_frees_its_code(self):
         element = build_element("cmsketch")
