@@ -5,7 +5,7 @@ partial offloading and model interpretability."""
 from repro.click.elements import build_element, install_state
 from repro.click.interp import Interpreter
 from repro.core.explain import render_explanations, svm_top_patterns
-from repro.core.partition import PartitionAdvisor
+from repro.core.partition import PartitionAdvisor, packet_paths
 from repro.core.prepare import prepare_element
 from repro.nic.machine import WorkloadCharacter
 from repro.workload import generate_trace
@@ -39,8 +39,10 @@ def test_ext_partial_offload(nic_model, write_result, benchmark):
         )
         spec = WorkloadSpec(name="t", n_flows=64, n_packets=400,
                             syn_fraction=syn_fraction)
-        profile = interp.run_trace(generate_trace(spec, seed=0))
-        _best, evaluated = advisor.advise(prepared, profile, workload)
+        paths = packet_paths(interp, generate_trace(spec, seed=0))
+        _best, evaluated = advisor.advise(
+            prepared, interp.profile, paths, workload
+        )
         full = next(p for p in evaluated if p.is_full_offload)
         none = next(
             p for p in evaluated if p.host_blocks and p.punt_fraction >= 1.0

@@ -46,7 +46,7 @@ def main() -> None:
         install_state(interp, initial_state(element))
         profile = interp.run_trace(generate_trace(nf_spec, seed=0))
         candidates[nf] = make_candidate(
-            prepare_element(element), profile, nic
+            prepare_element(element), profile, nic, nf_spec.packet_bytes
         )
         c = candidates[nf]
         print(f"  {nf:10s} compute/pkt={c.compute_per_pkt:7.0f}"

@@ -19,7 +19,7 @@ Run:  python examples/partial_offload.py
 
 from repro.click.elements import build_element, install_state
 from repro.click.interp import Interpreter
-from repro.core.partition import PartitionAdvisor
+from repro.core.partition import PartitionAdvisor, packet_paths
 from repro.core.prepare import prepare_element
 from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.workload import generate_trace
@@ -53,8 +53,8 @@ def profile_firewall(syn_fraction: float):
         n_packets=500,
         syn_fraction=syn_fraction,
     )
-    profile = interp.run_trace(generate_trace(spec, seed=0))
-    return prepared, profile
+    paths = packet_paths(interp, generate_trace(spec, seed=0))
+    return prepared, interp.profile, paths
 
 
 def main() -> None:
@@ -64,10 +64,10 @@ def main() -> None:
     workload = WorkloadCharacter(packet_bytes=256, emem_cache_hit_rate=0.4)
 
     for syn_fraction in (0.02, 0.2, 0.6):
-        prepared, profile = profile_firewall(syn_fraction)
-        best, evaluated = advisor.advise(prepared, profile, workload)
+        prepared, profile, paths = profile_firewall(syn_fraction)
+        best, evaluated = advisor.advise(prepared, profile, paths, workload)
         print(f"\n=== firewall, {syn_fraction:.0%} SYNs "
-              f"({len(profile.path_counts)} distinct packet paths) ===")
+              f"({len(paths)} distinct packet paths) ===")
         for partition in sorted(
             evaluated, key=lambda p: -p.throughput_mpps
         ):

@@ -7,17 +7,22 @@ module is that host: an NFIR interpreter with host-framework semantics
 
 * basic-block execution counts (keyed by NFIR block names, so they line
   up with the static analysis),
-* per-global load/store counts and per-(global, block) access vectors
-  (the inputs to the placement ILP and the coalescing K-means), and
+* one count per (global, block, load or store) state access, from which
+  the per-global load/store counts and the per-(global, block) access
+  vectors (the inputs to the placement ILP and the coalescing K-means)
+  are derived, and
 * framework API call counts.
+
+Per-packet paths are not recorded here: the partial-offload extension,
+their only reader, counts them (:func:`repro.core.partition.packet_paths`).
 
 Execution is compiled.  Each NFIR function is generated once into the
 source of one Python function, which keeps SSA values, formals and
 allocas whose address never escapes in Python locals, inlines constants
 and the integer formulas of :mod:`repro.nfir.instructions`, and calls
 the framework APIs with positional arguments; so running a packet does
-no per-instruction dispatch.  It records block counts, the visit set,
-the per-block step limit, global accesses and API counts as the NFIR
+no per-instruction dispatch.  It records block counts, global accesses
+and API counts and checks the per-block step limit as the NFIR
 semantics define them, and raises every :class:`InterpError` at the
 instruction that fails.  The code is cached per :class:`Function`
 object (weakly, so it goes with its module) and shared by every
@@ -233,34 +238,40 @@ class ExecutionProfile:
     sent: int = 0
     dropped: int = 0
     block_counts: Counter = field(default_factory=Counter)
-    #: loads/stores per global: name -> {"load": n, "store": n}
-    global_access: Dict[str, Counter] = field(default_factory=dict)
-    #: (global, block) -> access count; the coalescing access vectors.
-    global_block_access: Counter = field(default_factory=Counter)
+    #: (global, block, "load" or "store") -> count, in first-access
+    #: order.  The access views below are derived from it.
+    accesses: Counter = field(default_factory=Counter)
     api_counts: Counter = field(default_factory=Counter)
-    #: per-packet path signatures: frozenset of executed block names ->
-    #: packet count.  Used by the partial-offloading extension to
-    #: reason about which packets a host/NIC split would punt.
-    path_counts: Counter = field(default_factory=Counter)
 
-    def record_access(self, global_name: str, kind: str, block: str) -> None:
-        per_global = self.global_access.get(global_name)
-        if per_global is None:
-            per_global = self.global_access[global_name] = Counter()
-        per_global[kind] += 1
-        self.global_block_access[(global_name, block)] += 1
+    @property
+    def global_access(self) -> Dict[str, Counter]:
+        """Loads and stores per global, name -> {"load": n, "store": n},
+        globals and kinds in first-access order."""
+        out: Dict[str, Counter] = {}
+        for (name, _block, kind), count in self.accesses.items():
+            out.setdefault(name, Counter())[kind] += count
+        return out
+
+    @property
+    def global_block_access(self) -> Counter:
+        """(global, block) -> access count, in first-access order; the
+        coalescing access vectors."""
+        out: Counter = Counter()
+        for (name, block, _kind), count in self.accesses.items():
+            out[(name, block)] += count
+        return out
 
     def access_frequency(self, global_name: str) -> float:
         """Accesses per packet for one global (placement ILP input)."""
         if self.packets == 0:
             return 0.0
-        per_global = self.global_access.get(global_name, Counter())
-        return (per_global["load"] + per_global["store"]) / self.packets
+        return sum(self.global_access.get(global_name, {}).values()) / self.packets
 
     def access_vector(self, global_name: str, block_order: List[str]) -> np.ndarray:
         """Normalized per-block access vector (Section 4.4)."""
+        per_block = self.global_block_access
         counts = np.array(
-            [self.global_block_access.get((global_name, b), 0) for b in block_order],
+            [per_block.get((global_name, b), 0) for b in block_order],
             dtype=float,
         )
         total = counts.sum()
@@ -271,7 +282,7 @@ class ExecutionProfile:
 #
 # Each NFIR function compiles to one factory,
 #
-#     def _bind(G, P, VIS, I):     # stores, profile, visit set, interpreter
+#     def _bind(G, P, I):          # stores, profile, interpreter
 #         ...                      # this interpreter's stores and counters
 #         def run(pkt, pstore, limit, a0=_UNSET, *_):
 #             ...                  # the function's blocks
@@ -653,11 +664,10 @@ class _Codegen:
                 self.targets[i] = out
             self._tree(sorted(self.targets), 3, body)
         lines = [
-            "def _bind(G, P, VIS, I):",
+            "def _bind(G, P, I):",
             "    BC = P.block_counts",
             "    A = P.api_counts",
-            "    REC = P.record_access",
-            "    VISIT = VIS.add",
+            "    ACC = P.accesses",
         ]
         for name, k in self.globals.items():
             lines.append(f"    g{k} = _global_ptr(G, {name!r})")
@@ -714,7 +724,6 @@ class _Codegen:
         while True:
             name = self.blocks[i].name
             out.append((depth, f"BC[{name!r}] += 1"))
-            out.append((depth, f"VISIT({name!r})"))
             out.append((depth, f"steps += {self.sizes[i]}"))
             out.append((
                 depth, f"if steps > limit: _over({self.function_name!r}, limit)"
@@ -934,7 +943,7 @@ class _Codegen:
         else:
             lines.append(f"{address.store}.write({address.path}, {value})")
         if address.origin is not None:
-            record = f"REC({address.origin}, {kind!r}, {where!r})"
+            record = f"ACC[({address.origin}, {where!r}, {kind!r})] += 1"
             lines.append(
                 record if address.static_origin
                 else f"if {address.origin} is not None: {record}"
@@ -955,7 +964,7 @@ class _Codegen:
         return [
             f"if {p}.__class__ is not Ptr or {p}.store is None: {bad}",
             f"{out} = {p}.store.read({p}.path)",
-            f"if {p}.origin is not None: REC({p}.origin, 'load', {where!r})",
+            f"if {p}.origin is not None: ACC[({p}.origin, {where!r}, 'load')] += 1",
         ]
 
     def _store(self, instr: Store, where: str, i: int, position: int) -> List[str]:
@@ -980,7 +989,7 @@ class _Codegen:
         return [
             f"if {p}.__class__ is not Ptr or {p}.store is None: {bad}",
             f"{p}.store.write({p}.path, {value})",
-            f"if {p}.origin is not None: REC({p}.origin, 'store', {where!r})",
+            f"if {p}.origin is not None: ACC[({p}.origin, {where!r}, 'store')] += 1",
         ]
 
     def _gep(self, instr: GEP, out: str) -> List[str]:
@@ -1115,9 +1124,9 @@ class _Codegen:
         lines = [
             f"if {table} is None:"
             f" raise InterpError({f'{gname} is not a hashmap'!r})",
-            f"REC({gname!r}, 'load', {where!r})",
+            f"ACC[({gname!r}, {where!r}, 'load')] += 1",
         ]
-        store = f"REC({gname!r}, 'store', {where!r})"
+        store = f"ACC[({gname!r}, {where!r}, 'store')] += 1"
         if name == "hashmap_size":
             return lines, f"len({table})"
         if name == "hashmap_find":
@@ -1141,9 +1150,9 @@ class _Codegen:
         lines = [
             f"if {vec} is None:"
             f" raise InterpError({f'{gname} is not a vector'!r})",
-            f"REC({gname!r}, 'load', {where!r})",
+            f"ACC[({gname!r}, {where!r}, 'load')] += 1",
         ]
-        store = f"REC({gname!r}, 'store', {where!r})"
+        store = f"ACC[({gname!r}, {where!r}, 'store')] += 1"
         if name == "vector_size":
             return lines, f"len({vec}.items)"
         if name == "vector_at":
@@ -1243,8 +1252,6 @@ class Interpreter:
                 self.globals[name] = HostVector(g.entries)
             else:
                 self.globals[name] = TreeStore(zero_value(g.value_type))
-        #: names of the blocks the current packet has executed.
-        self._visited: Set[str] = set()
         #: Function -> its compiled code bound to this interpreter.
         self._runners: Dict[Function, Callable] = {}
         # Bound code reaches the interpreter only through this weak
@@ -1280,8 +1287,6 @@ class Interpreter:
     def run_packet(self, packet: Packet) -> Packet:
         handler = self._bound(self.module.handler)
         store = PacketStore(packet)
-        visited = self._visited
-        visited.clear()
         try:
             handler(packet, store, self.max_steps, Ptr(store))
         except UnboundLocalError as exc:
@@ -1290,17 +1295,6 @@ class Interpreter:
                 raise
             raise error from None
         profile = self.profile
-        path = frozenset(visited)
-        if path in profile.path_counts:
-            profile.path_counts[path] += 1
-        else:
-            # Key a new signature in trace-wide first-execution order
-            # (block_counts order), not this packet's visit order:
-            # consumers that iterate a path, such as the partition
-            # advisor's float sums, then see its blocks in that order.
-            profile.path_counts[
-                frozenset(n for n in profile.block_counts if n in visited)
-            ] = 1
         profile.packets += 1
         if packet.dropped:
             profile.dropped += 1
@@ -1310,11 +1304,11 @@ class Interpreter:
 
     def _bound(self, function: Function) -> Callable:
         """``function``'s compiled code bound to this interpreter's
-        stores, profile and visit set, on its first run."""
+        stores and profile, on its first run."""
         runner = self._runners.get(function)
         if runner is None:
             runner = self._runners[function] = compile_function(function)(
-                self.globals, self.profile, self._visited, self._weak
+                self.globals, self.profile, self._weak
             )
         return runner
 

@@ -26,9 +26,7 @@ Two infrastructure modules support the learning phases:
   for dataset synthesis (parallel == serial, per-program seeding);
 * :mod:`repro.core.artifacts` — :class:`TrainConfig` plus the
   content-addressed on-disk cache of fitted advisor state, so repeated
-  ``Clara.train()`` calls load in sub-second time.  All advisors share
-  the :class:`~repro.core.advisor.Advisor` protocol (``fit`` /
-  ``advise`` / ``state_dict`` / ``load_state_dict``).
+  ``Clara.train()`` calls load in sub-second time.
 """
 
 from repro.errors import (
@@ -39,7 +37,6 @@ from repro.errors import (
     NotTrainedError,
     UnknownElementError,
 )
-from repro.core.advisor import Advisor
 from repro.core.artifacts import (
     ArtifactCache,
     TrainConfig,
@@ -67,7 +64,6 @@ from repro.core.explain import (
 from repro.core.pipeline import AnalysisResult, Clara
 
 __all__ = [
-    "Advisor",
     "AnalysisResult",
     "ArtifactCache",
     "ArtifactCacheMiss",

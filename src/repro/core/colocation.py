@@ -10,7 +10,7 @@ throughput loss works best (Figure 14a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +58,8 @@ def ranking_to_dict(
 
 @dataclass
 class NFCandidate:
-    """One NF ready for colocation analysis.
+    """One NF ready for colocation analysis, profiled under a workload
+    of ``packet_bytes``-byte packets.
 
     ``memory_per_pkt`` counts accesses to *shared state* regions (the
     contended DRAM path); packet-buffer (CTM) traffic is tracked
@@ -71,19 +72,21 @@ class NFCandidate:
     compute_per_pkt: float
     memory_per_pkt: float
     ctm_per_pkt: float = 0.0
+    packet_bytes: int = field(kw_only=True)
 
     @property
     def arithmetic_intensity(self) -> float:
         return self.compute_per_pkt / max(self.memory_per_pkt, 0.25)
 
-    def est_solo_pps(self, nic: NICModel, packet_bytes: int = 256) -> float:
-        """First-order solo throughput on ``nic``: line rate vs. the
-        compute bound of half its cores, the share
-        :func:`~repro.nic.colocation.simulate_colocation` gives each NF."""
+    def est_solo_pps(self, nic: NICModel) -> float:
+        """First-order solo throughput on ``nic``: line rate at
+        ``packet_bytes`` vs. the compute bound of half its cores, the
+        share :func:`~repro.nic.colocation.simulate_colocation` gives
+        each NF."""
         compute_bound = (
             (nic.n_cores // 2) * nic.freq_hz / max(self.compute_per_pkt, 1.0)
         )
-        return min(nic.line_rate_pps(packet_bytes), compute_bound)
+        return min(nic.line_rate_pps(self.packet_bytes), compute_bound)
 
     def est_state_rate(self, nic: NICModel) -> float:
         """Offered load on ``nic``'s shared state memory (accesses/sec)
@@ -105,9 +108,11 @@ def make_candidate(
     prepared: PreparedNF,
     profile,
     nic: NICModel,
+    packet_bytes: int,
     config: Optional[PortConfig] = None,
 ) -> NFCandidate:
-    """``prepared``'s colocation profile, compiled for ``nic``'s target."""
+    """``prepared``'s colocation profile under a workload of
+    ``packet_bytes``-byte packets, compiled for ``nic``'s target."""
     program = compile_module(
         prepared.module, config or PortConfig(), target=nic.target
     )
@@ -136,7 +141,7 @@ def make_candidate(
     for api, count in profile.api_counts.items():
         per_pkt = count / packets
         if api.startswith("checksum_update"):
-            compute += per_pkt * sw_checksum_cycles(256)
+            compute += per_pkt * sw_checksum_cycles(packet_bytes)
             continue
         cost = api_cost(api)
         compute += per_pkt * cost.cycles
@@ -145,7 +150,10 @@ def make_candidate(
                 memory += per_pkt * c
             else:
                 ctm += per_pkt * c
-    return NFCandidate(prepared.name, program, freq, compute, memory, ctm)
+    return NFCandidate(
+        prepared.name, program, freq, compute, memory, ctm,
+        packet_bytes=packet_bytes,
+    )
 
 
 def pair_features(
@@ -296,7 +304,9 @@ class ColocationAdvisor:
         raw: List[NFCandidate] = []
         for element in gen.elements(n_programs * 2, prefix="coloc"):
             prepared = prepare_element(element)
-            raw.append(make_candidate(prepared, profile(prepared), self.nic))
+            raw.append(make_candidate(
+                prepared, profile(prepared), self.nic, spec.packet_bytes
+            ))
         # Keep a memory-per-packet spread: the heaviest half plus an
         # even subsample of the rest.
         raw.sort(key=lambda c: -c.memory_per_pkt)
@@ -314,9 +324,9 @@ class ColocationAdvisor:
                         compute_reps, mem_reps, ctm_reps,
                     )
                     prepared = prepare_element(element)
-                    pool.append(
-                        make_candidate(prepared, profile(prepared), self.nic)
-                    )
+                    pool.append(make_candidate(
+                        prepared, profile(prepared), self.nic, spec.packet_bytes
+                    ))
         return pool, characterize(spec, self.nic.hierarchy)
 
     def fit(
@@ -356,11 +366,12 @@ class ColocationAdvisor:
         self,
         prepared: PreparedNF,
         profile,
-        workload: Optional[WorkloadCharacter] = None,
+        workload: WorkloadCharacter,
     ) -> NFCandidate:
         """Uniform advisor entry point: the per-NF colocation profile
-        (an :class:`NFCandidate`) ready for :meth:`rank_pairs`."""
-        return make_candidate(prepared, profile, self.nic)
+        (an :class:`NFCandidate`) under ``workload``'s packet size,
+        ready for :meth:`rank_pairs`."""
+        return make_candidate(prepared, profile, self.nic, workload.packet_bytes)
 
     def state_dict(self) -> Dict[str, object]:
         return {

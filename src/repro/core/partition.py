@@ -10,19 +10,21 @@ This extension implements a first-order version of that reasoning.  A
 any packet whose execution path touches a host block is punted across
 PCIe (paying a fixed crossing cost plus host processing), while packets
 that stay on fast NIC-only paths complete on the SmartNIC.  The advisor
-searches candidate partitions built from the host-profiled path
-signatures (which the interpreter records per packet) and reports the
-split with the best predicted throughput — including the two trivial
-partitions, full offload and no offload, which it falls back to when
-splitting does not pay.
+searches candidate partitions built from per-packet path signatures,
+which :func:`packet_paths` counts while it profiles the trace on the
+host, and reports the split with the best predicted throughput —
+including the two trivial partitions, full offload and no offload,
+which it falls back to when splitting does not pay.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.click.interp import ExecutionProfile
+from repro.click.interp import ExecutionProfile, Interpreter
+from repro.click.packet import Packet
 from repro.core.prepare import PreparedNF
 from repro.nic.compiler import compile_module
 from repro.nic.machine import NICModel, WorkloadCharacter
@@ -41,6 +43,23 @@ HOST_SPEEDUP = 2.2
 #: Host cores the deployment is willing to burn on punted packets (the
 #: whole point of offloading is freeing these, so keep it small).
 HOST_CORES = 2
+
+
+def packet_paths(interp: Interpreter, packets: Iterable[Packet]) -> Counter:
+    """Run ``packets`` through ``interp`` one at a time and count their
+    paths: a packet's path is the frozenset of the blocks whose count
+    it raised.  Each path is keyed as it first occurs, its blocks
+    added in ``block_counts`` (trace-wide first execution) order, so
+    iterating a path does not depend on one packet's visit order."""
+    counts = interp.profile.block_counts
+    paths: Counter = Counter()
+    for packet in packets:
+        before = dict(counts)
+        interp.run_packet(packet)
+        paths[frozenset(
+            name for name, count in counts.items() if count != before.get(name)
+        )] += 1
+    return paths
 
 
 @dataclass
@@ -116,10 +135,12 @@ class PartitionAdvisor:
         host_blocks: FrozenSet[str],
         prepared: PreparedNF,
         profile: ExecutionProfile,
+        paths: Mapping[FrozenSet[str], int],
         workload: WorkloadCharacter,
         block_cycles: Optional[Dict[str, float]] = None,
     ) -> Partition:
-        """Predict the throughput of one candidate partition."""
+        """Predict the throughput of one candidate partition, given the
+        ``profile`` and :func:`packet_paths` of one trace."""
         if block_cycles is None:
             block_cycles = self._block_cycles(prepared, workload)
         packets = max(profile.packets, 1)
@@ -128,7 +149,7 @@ class PartitionAdvisor:
         # block's per-packet trip count among the packets that reach it
         # (total executions / packets whose path contains the block).
         packets_with: Dict[str, int] = {}
-        for path, count in profile.path_counts.items():
+        for path, count in paths.items():
             for name in path:
                 packets_with[name] = packets_with.get(name, 0) + count
         trips = {
@@ -139,7 +160,7 @@ class PartitionAdvisor:
         punted = 0
         nic_cycles_total = 0.0
         host_cycles_total = 0.0
-        for path, count in profile.path_counts.items():
+        for path, count in paths.items():
             # Sorted: a frozenset's order follows the string hash seed,
             # and float sums must not.
             path_cost = sum(
@@ -192,7 +213,7 @@ class PartitionAdvisor:
     # -- search ----------------------------------------------------------
     def candidate_block_sets(
         self, prepared: PreparedNF, profile: ExecutionProfile,
-        max_candidates: int = 12,
+        paths: Mapping[FrozenSet[str], int], max_candidates: int = 12,
     ) -> List[FrozenSet[str]]:
         """Candidate host-side block sets: rare, expensive paths make
         the best punt targets, so candidates are built from blocks that
@@ -200,7 +221,7 @@ class PartitionAdvisor:
         packets = max(profile.packets, 1)
         # Block rarity: share of packets whose path includes the block.
         share: Dict[str, float] = {}
-        for path, count in profile.path_counts.items():
+        for path, count in paths.items():
             for name in path:
                 share[name] = share.get(name, 0.0) + count / packets
         candidates: List[FrozenSet[str]] = [frozenset()]
@@ -219,13 +240,17 @@ class PartitionAdvisor:
         self,
         prepared: PreparedNF,
         profile: ExecutionProfile,
+        paths: Mapping[FrozenSet[str], int],
         workload: WorkloadCharacter,
     ) -> Tuple[Partition, List[Partition]]:
-        """Return (best partition, all evaluated candidates)."""
+        """Return (best partition, all evaluated candidates) for the
+        ``profile`` and :func:`packet_paths` of one trace."""
         block_cycles = self._block_cycles(prepared, workload)
         evaluated = [
-            self.evaluate(host_blocks, prepared, profile, workload, block_cycles)
-            for host_blocks in self.candidate_block_sets(prepared, profile)
+            self.evaluate(
+                host_blocks, prepared, profile, paths, workload, block_cycles
+            )
+            for host_blocks in self.candidate_block_sets(prepared, profile, paths)
         ]
         best = max(evaluated, key=lambda p: p.throughput_mpps)
         return best, evaluated

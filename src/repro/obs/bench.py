@@ -429,7 +429,9 @@ def _case_colocation_rank(ctx: BenchContext) -> Callable[[], Any]:
         install_state(interp, initial_state(element))
         # A fresh copy per NF: the interpreter rewrites packets.
         profile = interp.run_trace(p.copy() for p in trace)
-        pool.append(make_candidate(prepared_nf, profile, ctx.nic))
+        pool.append(
+            make_candidate(prepared_nf, profile, ctx.nic, spec.packet_bytes)
+        )
     n_groups = 2 if ctx.quick else 6
 
     def run():

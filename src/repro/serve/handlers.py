@@ -391,9 +391,9 @@ class ClaraService:
                 install_state(interp, initial_state(element))
                 # A fresh copy per NF: the interpreter rewrites packets.
                 profile = interp.run_trace(p.copy() for p in trace)
-                candidates.append(
-                    make_candidate(prepared, profile, self.clara.nic)
-                )
+                candidates.append(make_candidate(
+                    prepared, profile, self.clara.nic, spec.packet_bytes
+                ))
         return candidates
 
     def close(self) -> None:

@@ -9,7 +9,6 @@ with SmartNIC support are emitted.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,31 +41,6 @@ _LITERALS = {
     "short": (256, 65535),
     "wide": (65536, 2**32 - 1),
 }
-
-
-#: when this environment variable is set non-empty, every synthesized
-#: element is additionally lowered, verified, and linted (debug mode:
-#: catches generator regressions at the source instead of deep inside
-#: training).  Error-severity lint findings and verifier failures both
-#: raise.
-SYNTH_VERIFY_ENV = "CLARA_SYNTH_VERIFY"
-
-
-def _debug_check(element: "C.ElementDef") -> None:
-    """Lower + verify + lint one synthesized element (debug flag)."""
-    from repro.click.frontend import lower_element
-    from repro.nfir import verify_module
-    from repro.nfir.analysis import lint_module
-
-    module = lower_element(element)
-    verify_module(module)
-    report = lint_module(module)
-    if report.n_errors:
-        findings = "; ".join(d.render() for d in report.by_severity("error"))
-        raise ValueError(
-            f"synthesized element {element.name} fails offload lint:"
-            f" {findings}"
-        )
 
 
 def program_seed(seed: int, index: int) -> int:
@@ -471,16 +445,13 @@ class ClickGen:
 
         if name is None:
             name = f"synth_{self.rng.integers(1_000_000)}"
-        element = C.ElementDef(
+        return C.ElementDef(
             name=name,
             state=state,
             structs=structs,
             handler=handler,
             description="Synthesized Click element (guided generator).",
         )
-        if os.environ.get(SYNTH_VERIFY_ENV):
-            _debug_check(element)
-        return element
 
     def elements(self, count: int, prefix: str = "synth") -> List[C.ElementDef]:
         return [self.element(f"{prefix}_{i}") for i in range(count)]

@@ -2,12 +2,13 @@
 
 Every case runs one NF over one seeded trace and hashes everything a
 caller can see afterwards: the :class:`ExecutionProfile` (every counter
-in iteration order, path signatures sorted within each frozenset), the
-final global state, and every output packet.  The committed digests in
-``interp_golden.json`` were produced by the tree-walking interpreter
-that predates both the decode-once and the compiled designs, so any
-change to what the interpreter computes, or to the order it records it
-in, fails here.
+and both derived access views in iteration order), the per-packet paths
+that :func:`repro.core.partition.packet_paths` counts (each frozenset
+sorted), the final global state, and every output packet.  The
+committed digests in ``interp_golden.json`` were produced by the
+tree-walking interpreter that predates both the decode-once and the
+compiled designs, so any change to what the interpreter computes, or
+to the order it records it in, fails here.
 
 Cases: every library element under ``large_flows`` and ``small_flows``
 at 300 packets (``dpi`` and ``wepdecap`` at 5, as they are slow), plus
@@ -39,6 +40,7 @@ from repro.click.elements import (
 )
 from repro.click.frontend import lower_element
 from repro.click.interp import HostHashMap, HostVector, Interpreter, TreeStore
+from repro.core.partition import packet_paths
 from repro.workload import generate_trace
 from repro.workload.spec import LARGE_FLOWS, SMALL_FLOWS
 
@@ -104,7 +106,8 @@ def run_digest(module, state, spec, seed: int) -> str:
     interp = Interpreter(module, seed=seed)
     install_state(interp, state)
     packets = generate_trace(spec, seed=seed)
-    profile = interp.run_trace(packets)
+    paths = packet_paths(interp, packets)
+    profile = interp.profile
     record = {
         "packets": profile.packets,
         "sent": profile.sent,
@@ -119,9 +122,9 @@ def run_digest(module, state, spec, seed: int) -> str:
             for (name, block), count in profile.global_block_access.items()
         ],
         "api_counts": list(profile.api_counts.items()),
-        "path_counts": [
-            [sorted(path), count] for path, count in profile.path_counts.items()
-        ],
+        # Named for the profile field paths once lived in; the name is
+        # part of the hashed record.
+        "path_counts": [[sorted(path), count] for path, count in paths.items()],
         "globals": [
             [name, _global_state(obj)] for name, obj in interp.globals.items()
         ],

@@ -1,6 +1,8 @@
 """Colocation advisor (Section 4.5 / Figure 14) and end-to-end Clara
 pipeline integration tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from repro.core.colocation import (
 from repro.core.pipeline import Clara, TrainConfig
 from repro.core.prepare import prepare_element
 from repro.click.interp import Interpreter
-from repro.nic.machine import NICModel
+from repro.nic.libnfp import sw_checksum_cycles
+from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.workload import generate_trace
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import LARGE_FLOWS, WorkloadSpec
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +49,37 @@ class TestCandidates:
         interp = Interpreter(prepared.module)
         spec = WorkloadSpec(name="t", n_flows=200, n_packets=150)
         profile = interp.run_trace(generate_trace(spec, seed=0))
-        cand = make_candidate(prepared, profile, NICModel())
+        cand = make_candidate(prepared, profile, NICModel(), spec.packet_bytes)
         assert cand.name == "mazunat"
         assert cand.memory_per_pkt > 0
+
+    def test_candidate_prices_the_workloads_packet_size(self):
+        """Software checksums walk the whole packet, and the line rate
+        falls with packet size: both follow the workload, not a fixed
+        256-byte packet."""
+        nic = NICModel()
+        prepared = prepare_element(build_element("mazunat"))
+        interp = Interpreter(prepared.module, seed=1)
+        spec = replace(LARGE_FLOWS, n_packets=60)
+        profile = interp.run_trace(generate_trace(spec, seed=1))
+        advisor = ColocationAdvisor(nic)
+        small, large = (
+            advisor.advise(prepared, profile, WorkloadCharacter(packet_bytes=size))
+            for size in (64, 1500)
+        )
+        checksums = sum(
+            count for api, count in profile.api_counts.items()
+            if api.startswith("checksum_update")
+        ) / profile.packets
+        assert checksums > 0
+        assert large.compute_per_pkt - small.compute_per_pkt == pytest.approx(
+            checksums * (sw_checksum_cycles(1500) - sw_checksum_cycles(64))
+        )
+        # Line-rate bound at 1500 bytes, compute bound at 64.
+        assert large.est_state_rate(nic) == pytest.approx(
+            nic.line_rate_pps(1500) * large.memory_per_pkt
+        )
+        assert small.est_solo_pps(nic) < nic.line_rate_pps(64)
 
 
 class TestMeasurement:

@@ -48,7 +48,7 @@ from repro.click.elements import (
 )
 from repro.click.interp import Interpreter
 from repro.core.colocation import ColocationAdvisor, pair_features
-from repro.core.partition import PartitionAdvisor
+from repro.core.partition import PartitionAdvisor, packet_paths
 from repro.core.prepare import prepare_element
 from repro.nic.machine import NICModel
 from repro.workload import characterize, generate_trace
@@ -86,29 +86,33 @@ def _nic(target: str) -> NICModel:
 
 @lru_cache(maxsize=None)
 def _profiled(name: str, shape: str):
-    """``(prepared, profile, spec)`` for one element under one trace;
-    the profile does not depend on the target."""
+    """``(prepared, profile, paths, spec)`` for one element under one
+    trace; the profile and its packet paths do not depend on the
+    target."""
     prepared = prepare_element(build_element(name))
     interp = Interpreter(prepared.module, seed=TRACE_SEED)
     install_state(interp, initial_state(prepared.element))
     spec = replace(SHAPES[shape],
                    n_packets=SLOW_ELEMENTS.get(name, PACKETS))
-    profile = interp.run_trace(generate_trace(spec, seed=TRACE_SEED))
-    return prepared, profile, spec
+    paths = packet_paths(interp, generate_trace(spec, seed=TRACE_SEED))
+    return prepared, interp.profile, paths, spec
 
 
 @lru_cache(maxsize=None)
 def _candidate(name: str, shape: str, target: str):
-    prepared, profile, _spec = _profiled(name, shape)
-    return ColocationAdvisor(_nic(target)).advise(prepared, profile)
+    prepared, profile, _paths, spec = _profiled(name, shape)
+    nic = _nic(target)
+    return ColocationAdvisor(nic).advise(
+        prepared, profile, characterize(spec, nic.hierarchy)
+    )
 
 
 def partition_record(name: str, shape: str, target: str) -> List[Dict]:
-    prepared, profile, spec = _profiled(name, shape)
+    prepared, profile, paths, spec = _profiled(name, shape)
     nic = _nic(target)
     workload = characterize(spec, nic.hierarchy)
     advisor = PartitionAdvisor(nic, cores=PARTITION_CORES)
-    _best, evaluated = advisor.advise(prepared, profile, workload)
+    _best, evaluated = advisor.advise(prepared, profile, paths, workload)
     return [
         {
             "host_blocks": ",".join(sorted(p.host_blocks)),

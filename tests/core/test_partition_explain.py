@@ -19,7 +19,11 @@ from repro.core.explain import (
     render_explanations,
     svm_top_patterns,
 )
-from repro.core.partition import PartitionAdvisor, PCIE_CROSSING_CYCLES
+from repro.core.partition import (
+    PCIE_CROSSING_CYCLES,
+    PartitionAdvisor,
+    packet_paths,
+)
 from repro.core.prepare import prepare_element
 from repro.ml.gbdt import GBDTRegressor
 from repro.nic.machine import NICModel, WorkloadCharacter
@@ -27,71 +31,110 @@ from repro.workload import generate_trace
 from repro.workload.spec import WorkloadSpec
 
 
-def firewall_profiled(n_packets=300, syn_fraction=0.05):
-    """A firewall whose SYN slow path (ACL walk + insert) is rare —
-    the canonical partial-offload candidate."""
-    element = build_element("firewall")
-    prepared = prepare_element(element)
+def firewall_interpreter(n_acl=1):
+    """A firewall with ``n_acl`` ACL rules, of which only the last, a
+    catch-all, admits traffic."""
+    prepared = prepare_element(build_element("firewall"))
     interp = Interpreter(prepared.module)
     install_state(
         interp,
         {
-            "n_acl": 1,
-            "acl_prefix": [0],
-            "acl_mask": [0],
-            "acl_action": [1],
+            "n_acl": n_acl,
+            "acl_prefix": [0xFFFFFFFF] * (n_acl - 1) + [0],
+            "acl_mask": [0xFFFFFFFF] * (n_acl - 1) + [0],
+            "acl_action": [0] * (n_acl - 1) + [1],
         },
     )
+    return prepared, interp
+
+
+def firewall_trace(n_packets=300, syn_fraction=0.05):
     spec = WorkloadSpec(
         name="t", n_flows=30, n_packets=n_packets, syn_fraction=syn_fraction
     )
-    profile = interp.run_trace(generate_trace(spec, seed=0))
-    return prepared, profile
+    return generate_trace(spec, seed=0)
+
+
+def firewall_profiled(n_packets=300, syn_fraction=0.05):
+    """``(prepared, profile, paths)`` of a firewall whose SYN slow path
+    (ACL walk + insert) is rare — the canonical partial-offload
+    candidate."""
+    prepared, interp = firewall_interpreter()
+    paths = packet_paths(interp, firewall_trace(n_packets, syn_fraction))
+    return prepared, interp.profile, paths
 
 
 class TestPathTracking:
     def test_paths_partition_packets(self):
-        prepared, profile = firewall_profiled()
-        assert sum(profile.path_counts.values()) == profile.packets
+        prepared, profile, paths = firewall_profiled()
+        assert sum(paths.values()) == profile.packets
 
     def test_distinct_paths_for_distinct_behaviour(self):
-        prepared, profile = firewall_profiled()
+        prepared, profile, paths = firewall_profiled()
         # Fast path (established) and slow path (SYN setup) differ.
-        assert len(profile.path_counts) >= 2
+        assert len(paths) >= 2
 
     def test_paths_are_subsets_of_blocks(self):
-        prepared, profile = firewall_profiled()
+        prepared, profile, paths = firewall_profiled()
         names = {b.name for b in prepared.blocks}
-        for path in profile.path_counts:
+        for path in paths:
             assert set(path) <= names
+
+    def test_a_block_run_many_times_is_in_the_path_once(self):
+        """A SYN walks all four ACL rules: the loop blocks run four
+        times, and the packet's path holds each of them once."""
+        _prepared, interp = firewall_interpreter(n_acl=4)
+        paths = packet_paths(
+            interp, firewall_trace(n_packets=1, syn_fraction=1.0)
+        )
+        (path,) = paths
+        assert paths[path] == 1
+        counts = interp.profile.block_counts
+        assert max(counts.values()) >= 4
+        assert path == frozenset(counts)
+
+    def test_leaves_the_same_profile_as_run_trace(self):
+        _prepared, interp = firewall_interpreter()
+        packet_paths(interp, firewall_trace(syn_fraction=0.2))
+        _prepared, fresh = firewall_interpreter()
+        expected = fresh.run_trace(firewall_trace(syn_fraction=0.2))
+        profile = interp.profile
+        assert list(profile.block_counts.items()) == \
+            list(expected.block_counts.items())
+        assert list(profile.accesses.items()) == \
+            list(expected.accesses.items())
+        assert list(profile.api_counts.items()) == \
+            list(expected.api_counts.items())
+        assert (profile.packets, profile.sent, profile.dropped) == \
+            (expected.packets, expected.sent, expected.dropped)
 
 
 class TestPartitionAdvisor:
     def test_full_offload_always_candidate(self):
-        prepared, profile = firewall_profiled()
+        prepared, profile, paths = firewall_profiled()
         advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
-        best, evaluated = advisor.advise(prepared, profile, wc)
+        best, evaluated = advisor.advise(prepared, profile, paths, wc)
         assert any(p.is_full_offload for p in evaluated)
         assert best.throughput_mpps > 0
 
     def test_punt_fraction_consistency(self):
-        prepared, profile = firewall_profiled(syn_fraction=0.2)
+        prepared, profile, paths = firewall_profiled(syn_fraction=0.2)
         advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
-        _best, evaluated = advisor.advise(prepared, profile, wc)
+        _best, evaluated = advisor.advise(prepared, profile, paths, wc)
         for partition in evaluated:
             assert 0.0 <= partition.punt_fraction <= 1.0
             if partition.is_full_offload:
                 assert partition.punt_fraction == 0.0
 
     def test_punting_costs_pcie(self):
-        prepared, profile = firewall_profiled(syn_fraction=0.3)
+        prepared, profile, paths = firewall_profiled(syn_fraction=0.3)
         advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
-        full = advisor.evaluate(frozenset(), prepared, profile, wc)
+        full = advisor.evaluate(frozenset(), prepared, profile, paths, wc)
         all_blocks = frozenset(b.name for b in prepared.blocks)
-        none = advisor.evaluate(all_blocks, prepared, profile, wc)
+        none = advisor.evaluate(all_blocks, prepared, profile, paths, wc)
         assert none.punt_fraction == 1.0
         # Punting everything pays the crossing on every packet.
         assert none.nic_cycles_per_pkt >= PCIE_CROSSING_CYCLES
@@ -99,10 +142,10 @@ class TestPartitionAdvisor:
     def test_rare_slow_path_is_puntable(self):
         """With a rare SYN slow path, some split candidate keeps most
         traffic on the NIC."""
-        prepared, profile = firewall_profiled(syn_fraction=0.02)
+        prepared, profile, paths = firewall_profiled(syn_fraction=0.02)
         advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
-        _best, evaluated = advisor.advise(prepared, profile, wc)
+        _best, evaluated = advisor.advise(prepared, profile, paths, wc)
         splits = [
             p for p in evaluated
             if p.host_blocks and 0.0 < p.punt_fraction < 0.5
@@ -110,10 +153,10 @@ class TestPartitionAdvisor:
         assert splits, "expected a low-punt split candidate"
 
     def test_best_is_argmax(self):
-        prepared, profile = firewall_profiled()
+        prepared, profile, paths = firewall_profiled()
         advisor = PartitionAdvisor(NICModel(), cores=12)
         wc = WorkloadCharacter()
-        best, evaluated = advisor.advise(prepared, profile, wc)
+        best, evaluated = advisor.advise(prepared, profile, paths, wc)
         assert best.throughput_mpps == max(
             p.throughput_mpps for p in evaluated
         )
@@ -130,7 +173,7 @@ from dataclasses import replace
 
 from repro.click.elements import build_element, initial_state, install_state
 from repro.click.interp import Interpreter
-from repro.core.partition import PartitionAdvisor
+from repro.core.partition import PartitionAdvisor, packet_paths
 from repro.core.prepare import prepare_element
 from repro.nic.machine import NICModel
 from repro.workload import characterize, generate_trace
@@ -140,11 +183,11 @@ spec = replace(SMALL_FLOWS, n_packets=60)
 prepared = prepare_element(build_element("cmsketch"))
 interp = Interpreter(prepared.module, seed=1)
 install_state(interp, initial_state(prepared.element))
-profile = interp.run_trace(generate_trace(spec, seed=1))
+paths = packet_paths(interp, generate_trace(spec, seed=1))
 nic = NICModel()
 advisor = PartitionAdvisor(nic, cores=12)
 _best, evaluated = advisor.advise(
-    prepared, profile, characterize(spec, hierarchy=nic.hierarchy)
+    prepared, interp.profile, paths, characterize(spec, hierarchy=nic.hierarchy)
 )
 print(" ".join(p.throughput_mpps.hex() for p in evaluated))
 """
@@ -208,8 +251,8 @@ class TestExplain:
         from repro.nic.isa import NICProgram
 
         prog = NICProgram(module_name="x")
-        a = NFCandidate("a", prog, {}, 100.0, 5.0)
-        b = NFCandidate("b", prog, {}, 200.0, 2.0)
+        a = NFCandidate("a", prog, {}, 100.0, 5.0, packet_bytes=256)
+        b = NFCandidate("b", prog, {}, 200.0, 2.0, packet_bytes=256)
         assert len(pair_features(a, b, NICModel())) == len(
             COLOCATION_FEATURE_NAMES
         )

@@ -85,16 +85,18 @@ class TestColocation:
     @pytest.mark.parametrize("name", ["cmsketch", "wepdecap"])
     @pytest.mark.parametrize("nic", [NFP, DPU], ids=lambda n: n.target.name)
     def test_advise_compiles_for_the_target(self, name, nic):
-        prepared, profile, _spec = profiled(name)
-        candidate = ColocationAdvisor(nic).advise(prepared, profile)
+        prepared, profile, spec = profiled(name)
+        candidate = ColocationAdvisor(nic).advise(
+            prepared, profile, characterize(spec, nic.hierarchy)
+        )
         assert handler_instructions(candidate.program) == \
             HANDLER_INSTRUCTIONS[name, nic.target.name]
 
     def test_pair_features_use_the_target_constants(self):
         program = NICProgram(module_name="x")
         # Compute-bound on both targets at 256-byte packets.
-        a = NFCandidate("a", program, {}, 2000.0, 5.0)
-        b = NFCandidate("b", program, {}, 4000.0, 2.0)
+        a = NFCandidate("a", program, {}, 2000.0, 5.0, packet_bytes=256)
+        b = NFCandidate("b", program, {}, 4000.0, 2.0, packet_bytes=256)
         features = pair_features(a, b, DPU)
         # Half of the DPU's 16 cores at 2.5 GHz.
         rate_a = 8 * 2.5e9 / 2000.0 * 5.0 / 1e6
@@ -114,7 +116,7 @@ class TestPartition:
         advisor = PartitionAdvisor(DPU, cores=12)
         # No profiled path: only the ingress and egress path is charged.
         partition = advisor.evaluate(
-            frozenset(), prepared, ExecutionProfile(packets=1),
+            frozenset(), prepared, ExecutionProfile(packets=1), {},
             WorkloadCharacter(), block_cycles={},
         )
         assert partition.nic_cycles_per_pkt == \

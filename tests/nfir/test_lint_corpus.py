@@ -1,14 +1,18 @@
 """Corpus-wide lint gate: every library element must verify and lint
 with zero error-severity diagnostics (the repo-level acceptance bar for
-the offload linter), and the generator's debug flag applies the same
-gate to synthesized programs."""
+the offload linter), and so must every program a quick training run
+synthesizes."""
 
 import pytest
 
-from repro.click.elements import ELEMENT_BUILDERS, build_element
+from repro.click.elements import ELEMENT_BUILDERS, all_elements, build_element
+from repro.click.frontend import lower_element
+from repro.core.artifacts import TrainConfig
 from repro.core.prepare import prepare_element
 from repro.nfir import verify_module
 from repro.nfir.analysis import lint_module
+from repro.synthesis.generator import ClickGen, baseline_stats
+from repro.synthesis.stats import extract_stats
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENT_BUILDERS))
@@ -28,44 +32,34 @@ def test_corpus_known_hazards_are_surfaced():
     assert any(d.rule == "CL007" for d in report.diagnostics)
 
 
+def verify_and_lint(element) -> None:
+    """Lower, verify and lint one synthesized element: a verifier
+    failure raises, and an error-severity lint finding fails."""
+    module = lower_element(element)
+    verify_module(module)
+    errors = lint_module(module).by_severity("error")
+    findings = "; ".join(d.render() for d in errors)
+    assert not errors, f"synthesized element {element.name} fails offload lint: {findings}"
+
+
 class TestSynthesizedPrograms:
-    def test_debug_flag_verifies_generated_elements(self, monkeypatch):
-        from repro.synthesis.generator import (
-            SYNTH_VERIFY_ENV,
-            ClickGen,
-            baseline_stats,
-        )
+    def test_generated_elements_verify_and_lint(self):
+        for element in ClickGen(baseline_stats(), seed=11).elements(10):
+            verify_and_lint(element)
 
-        monkeypatch.setenv(SYNTH_VERIFY_ENV, "1")
-        gen = ClickGen(baseline_stats(), seed=11)
-        # _debug_check raises on verifier failures or error-severity
-        # lint findings, so generation completing IS the assertion.
-        assert len(gen.elements(10)) == 10
-
-    def test_debug_flag_rejects_bad_elements(self, monkeypatch):
-        from repro.synthesis import generator
-
-        monkeypatch.setenv(generator.SYNTH_VERIFY_ENV, "1")
-
-        class Boom(Exception):
-            pass
-
-        def explode(element):
-            raise Boom(element.name)
-
-        monkeypatch.setattr(generator, "_debug_check", explode)
-        gen = generator.ClickGen(generator.baseline_stats(), seed=3)
-        with pytest.raises(Boom):
-            gen.element("bad")
-
-    def test_flag_off_skips_check(self, monkeypatch):
-        from repro.synthesis import generator
-
-        monkeypatch.delenv(generator.SYNTH_VERIFY_ENV, raising=False)
-
-        def explode(element):  # pragma: no cover - must not run
-            raise AssertionError("debug check ran without the flag")
-
-        monkeypatch.setattr(generator, "_debug_check", explode)
-        gen = generator.ClickGen(generator.baseline_stats(), seed=3)
-        assert gen.element("ok").name == "ok"
+    def test_quick_training_programs_verify_and_lint(self):
+        """Every program a ``TrainConfig.quick()`` run synthesizes at
+        seed 0, so a generator or analysis regression (a fixpoint that
+        never settles included) fails here instead of in training: the
+        predictor set's programs, whose first child seeds the scale-out
+        set reuses, and the algorithm corpus's negatives."""
+        config = TrainConfig.quick()
+        stats = extract_stats(all_elements())
+        n_programs = max(config.n_predictor_programs, config.n_scaleout_programs)
+        programs = [
+            ClickGen.for_program(stats, seed=0, index=i).element(f"synth_{i}")
+            for i in range(n_programs)
+        ]
+        negatives = ClickGen(stats, seed=0).elements(config.n_negatives, prefix="neg")
+        for element in programs + negatives:
+            verify_and_lint(element)
