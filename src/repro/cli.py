@@ -361,7 +361,7 @@ def cmd_sweep(args) -> int:
     from repro.nic.compiler import compile_module
     from repro.nic.machine import NICModel
     from repro.obs import span
-    from repro.workload import characterize, generate_trace
+    from repro.workload import characterize, iter_trace
 
     spec = _workload_from_args(args)
     element = build_element(args.element)
@@ -369,7 +369,7 @@ def cmd_sweep(args) -> int:
     interp = Interpreter(module)
     install_state(interp, initial_state(element))
     with span("profile_on_host", nf=element.name):
-        profile = interp.run_trace(generate_trace(spec, seed=args.seed))
+        profile = interp.run_trace(iter_trace(spec, seed=args.seed))
     freq = {b: c / profile.packets for b, c in profile.block_counts.items()}
     model = NICModel(target=args.target)
     with span("sweep_cores", nf=element.name, target=model.target.name):

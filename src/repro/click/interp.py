@@ -31,6 +31,17 @@ global stores, profile and packet.  :func:`precompile` compiles a
 module ahead of its first run; ``Clara.analyze`` does so in its
 ``prepare`` stage.
 
+Per packet, the cost is kept to what the packet needs.
+:meth:`Interpreter.run_trace` is the one per-packet loop
+(:meth:`Interpreter.run_packet` runs its packet through it); it binds
+the handler once per trace and takes each packet from its iterable only
+when the one before is done, so a streamed trace is never held whole.
+A slot local whose every store writes one ``*_header`` API's result
+holds NULL or the current packet's header, so a field load or store
+through it checks for NULL and then indexes the header dict itself.
+``random_u32`` takes its values from batches drawn from the
+interpreter's generator, which numpy makes equal to one draw per call.
+
 The cache relies on one rule: **a function is not mutated after its
 first run** (or its :func:`precompile`).  Only the inliner and
 ``replace_operands`` mutate functions, and they do so while lowering,
@@ -51,6 +62,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -157,14 +169,14 @@ class PacketStore(_Store):
 
     def read(self, path: Tuple):
         header, fname = path
-        hdr = self.packet.header(header)
+        hdr = getattr(self.packet, header)
         if hdr is None:
             raise InterpError(f"packet has no {header} header")
         return hdr[fname]
 
     def write(self, path: Tuple, value) -> None:
         header, fname = path
-        hdr = self.packet.header(header)
+        hdr = getattr(self.packet, header)
         if hdr is None:
             raise InterpError(f"packet has no {header} header")
         hdr[fname] = value
@@ -305,6 +317,9 @@ _HEADER_APIS = {
     "udp_header": "udp",
 }
 
+#: ``random_u32`` values drawn from an interpreter's generator at once.
+_RANDOM_BATCH = 256
+
 #: deepest ``if`` nesting used for inlined blocks; a block past it is
 #: dispatched to instead (CPython allows 100 indentation levels).
 _MAX_NEST = 32
@@ -421,14 +436,16 @@ def _undefined_value(exc: UnboundLocalError) -> Optional[InterpError]:
 
 class _Address(NamedTuple):
     """Where a load or store goes, as source text: ``store`` is the
-    store object's expression; the path into it is either ``tree``, a
-    chain of subscripts into a :class:`TreeStore`'s tree, or ``path``,
-    an expression for :meth:`_Store.read`/``write``.  ``nullable``
-    means ``store`` may be None (a bad pointer); a non-None ``origin``
-    is recorded, and ``static_origin`` means it is a literal."""
+    store object's expression; the storage is reached either through
+    ``place``, an expression naming the cell itself (a chain of
+    subscripts into a :class:`TreeStore`'s tree, or a field of one of
+    the packet's headers), or through ``path``, an expression for
+    :meth:`_Store.read`/``write``.  ``nullable`` means ``store`` may be
+    None (a bad pointer); a non-None ``origin`` is recorded, and
+    ``static_origin`` means it is a literal."""
 
     store: str
-    tree: Optional[str]
+    place: Optional[str]
     path: Optional[str]
     nullable: bool
     origin: Optional[str]
@@ -515,6 +532,11 @@ class _Codegen:
         self.fused: Set[Value] = set()
         #: fused GEP -> where its one load or store goes.
         self.addresses: Dict[Value, _Address] = {}
+        #: promoted pointer slot every store to which writes the result
+        #: of one ``*_header`` API -> that header.  Such a slot holds
+        #: NULL or the current packet's header, since no API replaces a
+        #: header dict during a packet.
+        self.header_slots: Dict[Value, str] = {}
         #: pointers an alloca built, whose store is a tree store and
         #: whose origin is None -> their path as source literals (None
         #: when a step is computed at run time).
@@ -615,6 +637,36 @@ class _Codegen:
                     else base + tuple(steps)  # type: ignore[operator]
                 )
                 changed = True
+        stored: Dict[Value, Set[Optional[str]]] = {}
+        for i in self.reachable:
+            for instr in self.bodies[i]:
+                if isinstance(instr, Store) and instr.ptr in self.slots:
+                    value = instr.value
+                    stored.setdefault(instr.ptr, set()).add(
+                        _HEADER_APIS.get(value.callee)
+                        if isinstance(value, Call) and value.kind != CALL_KIND_INTERNAL
+                        else None
+                    )
+        for slot, headers in stored.items():
+            if (
+                len(headers) == 1
+                and None not in headers
+                and isinstance(slot.allocated_type, PointerType)  # type: ignore[attr-defined]
+            ):
+                self.header_slots[slot] = headers.pop()  # type: ignore[assignment]
+
+    def _header_field(self, gep: GEP) -> Optional[Tuple[str, str]]:
+        """``(header, field)`` when ``gep`` names one field through a
+        value loaded from a header slot; ``None`` otherwise."""
+        base, indices = gep.base, gep.indices
+        if (
+            isinstance(base, Load)
+            and base.ptr in self.header_slots
+            and len(indices) == 1
+            and isinstance(indices[0], str)
+        ):
+            return self.header_slots[base.ptr], indices[0]
+        return None
 
     def _name(self, value: Value, name: str) -> None:
         self.local[value] = name
@@ -922,12 +974,15 @@ class _Codegen:
             return self.addresses[ptr]
         if isinstance(ptr, GlobalVariable):
             k = self.globals[ptr.name]
-            return _Address(f"s{k}", "", None, True, repr(ptr.name), True)
+            return _Address(f"s{k}", f"s{k}.tree", None, True, repr(ptr.name), True)
         if ptr in self.facts and ptr in self.local:
             p, steps = self.local[ptr], self.facts[ptr]
             if steps is None:
                 return _Address(f"{p}.store", None, f"{p}.path", False, None, False)
-            return _Address(f"{p}.store", _subscripts(steps), None, False, None, False)
+            return _Address(
+                f"{p}.store", f"{p}.store.tree{_subscripts(steps)}", None,
+                False, None, False,
+            )
         return None
 
     def _access(
@@ -935,8 +990,8 @@ class _Codegen:
     ) -> List[str]:
         """A load (``value`` None) or store of ``value`` at ``address``."""
         lines = [f"if {address.store} is None: {bad}"] if address.nullable else []
-        if address.tree is not None:
-            target = f"{address.store}.tree{address.tree}"
+        if address.place is not None:
+            target = address.place
             lines.append(target if value is None else f"{target} = {value}")
         elif value is None:
             lines.append(f"{address.store}.read({address.path})")
@@ -993,6 +1048,17 @@ class _Codegen:
         ]
 
     def _gep(self, instr: GEP, out: str) -> List[str]:
+        fused = instr in self.fused
+        view = self._header_field(instr) if fused else None
+        if view is not None:
+            # The base is NULL or the current packet's header: index
+            # the header dict itself.  Header pointers have no origin.
+            base = self.operand(instr.base)
+            header, name = view
+            self.addresses[instr] = _Address(
+                f"{base}.store", f"pkt.{header}[{name!r}]", None, True, None, False
+            )
+            return [base]  # read where the GEP stands
         lines: List[str] = []
         base_steps = None
         if isinstance(instr.base, GlobalVariable):
@@ -1008,7 +1074,6 @@ class _Codegen:
                     f"if {base}.__class__ is not Ptr:"
                     " raise InterpError('GEP on non-pointer value')"
                 )
-        fused = instr in self.fused
         steps = []
         for idx in instr.indices:
             if isinstance(idx, str):
@@ -1028,7 +1093,7 @@ class _Codegen:
             if not fused:
                 return [f"{out} = Ptr(s{k}, {suffix}, {name!r})"]
             self.addresses[instr] = _Address(
-                f"s{k}", _subscripts(steps), None, True, repr(name), True
+                f"s{k}", f"s{k}.tree{_subscripts(steps)}", None, True, repr(name), True
             )
             return lines
         if not fused:
@@ -1040,7 +1105,8 @@ class _Codegen:
             return lines
         if base_steps is not None:
             self.addresses[instr] = _Address(
-                f"{base}.store", _subscripts(base_steps + tuple(steps)),
+                f"{base}.store",
+                f"{base}.store.tree{_subscripts(base_steps + tuple(steps))}",
                 None, False, None, False,
             )
         elif instr.base in self.facts:
@@ -1103,7 +1169,7 @@ class _Codegen:
             update = "_checksum_ip" if name == "checksum_update_ip" else "_checksum_tcp"
             return self._touch(instr.args[0]) + [f"{update}(pkt)"], None
         if name == "random_u32":
-            return [], "int(I.rng.integers(0, 4294967296, dtype=_uint64))"
+            return [], "I._random_u32()"
 
         # Stateful data-structure APIs.  The receiver global is the
         # first argument.
@@ -1254,6 +1320,8 @@ class Interpreter:
                 self.globals[name] = TreeStore(zero_value(g.value_type))
         #: Function -> its compiled code bound to this interpreter.
         self._runners: Dict[Function, Callable] = {}
+        #: the rest of the current batch of ``random_u32`` values.
+        self._randoms: Iterator[int] = iter(())
         # Bound code reaches the interpreter only through this weak
         # proxy, so an interpreter nobody holds is freed at once rather
         # than left to the cycle collector.
@@ -1280,27 +1348,49 @@ class Interpreter:
 
     # -- running -------------------------------------------------------
     def run_trace(self, packets: Iterable[Packet]) -> ExecutionProfile:
-        for packet in packets:
-            self.run_packet(packet)
-        return self.profile
-
-    def run_packet(self, packet: Packet) -> Packet:
-        handler = self._bound(self.module.handler)
-        store = PacketStore(packet)
+        """Run ``packets`` in order and return the profile.  Each packet
+        is taken from ``packets`` only when the one before it is done,
+        so a streamed trace (:func:`~repro.workload.trace.iter_trace`)
+        is never held whole.  The handler is bound once, at the first
+        packet."""
+        profile = self.profile
+        limit = self.max_steps
+        handler = None
         try:
-            handler(packet, store, self.max_steps, Ptr(store))
+            for packet in packets:
+                if handler is None:
+                    handler = self._bound(self.module.handler)
+                store = PacketStore(packet)
+                handler(packet, store, limit, Ptr(store))
+                profile.packets += 1
+                if packet.dropped:
+                    profile.dropped += 1
+                elif packet.out_port is not None:
+                    profile.sent += 1
         except UnboundLocalError as exc:
             error = _undefined_value(exc)
             if error is None:
                 raise
             raise error from None
-        profile = self.profile
-        profile.packets += 1
-        if packet.dropped:
-            profile.dropped += 1
-        elif packet.out_port is not None:
-            profile.sent += 1
+        return profile
+
+    def run_packet(self, packet: Packet) -> Packet:
+        """Run one packet (see :meth:`run_trace`) and return it."""
+        self.run_trace((packet,))
         return packet
+
+    def _random_u32(self) -> int:
+        """The next value of the ``random_u32`` API.  Values are drawn
+        from the interpreter's generator in batches; numpy gives the
+        same values for this range whether they are drawn in one call
+        or one per call."""
+        try:
+            return next(self._randoms)
+        except StopIteration:
+            self._randoms = iter(self.rng.integers(
+                0, 1 << 32, size=_RANDOM_BATCH, dtype=np.uint64
+            ).tolist())
+            return next(self._randoms)
 
     def _bound(self, function: Function) -> Callable:
         """``function``'s compiled code bound to this interpreter's
@@ -1322,44 +1412,34 @@ class Interpreter:
 # -- checksum helpers -----------------------------------------------------
 
 def _checksum_ip(packet: Packet) -> None:
-    words = [
-        (packet.ip["ip_v"] << 12)
-        | (packet.ip["ip_hl"] << 8)
-        | packet.ip["ip_tos"],
-        packet.ip["ip_len"],
-        packet.ip["ip_id"],
-        packet.ip["ip_off"],
-        (packet.ip["ip_ttl"] << 8) | packet.ip["ip_p"],
-        packet.ip["src_addr"] >> 16,
-        packet.ip["src_addr"] & 0xFFFF,
-        packet.ip["dst_addr"] >> 16,
-        packet.ip["dst_addr"] & 0xFFFF,
-    ]
-    total = sum(words)
+    ip = packet.ip
+    total = (
+        ((ip["ip_v"] << 12) | (ip["ip_hl"] << 8) | ip["ip_tos"])
+        + ip["ip_len"]
+        + ip["ip_id"]
+        + ip["ip_off"]
+        + ((ip["ip_ttl"] << 8) | ip["ip_p"])
+    )
+    src, dst = ip["src_addr"], ip["dst_addr"]
+    total += (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
-    packet.ip["ip_sum"] = (~total) & 0xFFFF
+    ip["ip_sum"] = (~total) & 0xFFFF
 
 
 def _checksum_tcp(packet: Packet) -> None:
-    if packet.tcp is None:
+    tcp = packet.tcp
+    if tcp is None:
         return
-    words = [
-        packet.tcp["th_sport"],
-        packet.tcp["th_dport"],
-        packet.tcp["th_seq"] >> 16,
-        packet.tcp["th_seq"] & 0xFFFF,
-        packet.tcp["th_ack"] >> 16,
-        packet.tcp["th_ack"] & 0xFFFF,
-        packet.ip["src_addr"] >> 16,
-        packet.ip["src_addr"] & 0xFFFF,
-        packet.ip["dst_addr"] >> 16,
-        packet.ip["dst_addr"] & 0xFFFF,
-    ]
-    total = sum(words)
+    sport, dport = tcp["th_sport"], tcp["th_dport"]
+    seq, ack = tcp["th_seq"], tcp["th_ack"]
+    total = sport + dport + (seq >> 16) + (seq & 0xFFFF) + (ack >> 16) + (ack & 0xFFFF)
+    ip = packet.ip
+    src, dst = ip["src_addr"], ip["dst_addr"]
+    total += (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
-    packet.tcp["th_sum"] = (~total) & 0xFFFF
+    tcp["th_sum"] = (~total) & 0xFFFF
 
 
 #: What generated code names besides its own constants.
@@ -1371,7 +1451,6 @@ _NAMESPACE: Dict[str, object] = {
     "HostVector": HostVector,
     "NULL": NULL,
     "_UNSET": _UNSET,
-    "_uint64": np.uint64,
     "_zero_value": zero_value,
     "_same_pointer": _same_pointer,
     "_read_struct": _read_struct,

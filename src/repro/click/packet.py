@@ -181,11 +181,6 @@ class Packet:
         packet.dropped = self.dropped
         return packet
 
-    def header(self, name: str) -> Optional[Dict[str, int]]:
-        if name not in _HEADER_LAYOUTS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     @property
     def wire_len(self) -> int:
         """Approximate on-wire length in bytes."""

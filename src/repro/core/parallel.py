@@ -159,7 +159,7 @@ def _scaleout_program_job(args: Tuple[Any, ...]) -> List[Any]:
     from repro.nic.compiler import compile_module
     from repro.nic.port import PortConfig
     from repro.synthesis.generator import ClickGen
-    from repro.workload import characterize, generate_trace
+    from repro.workload import characterize, iter_trace
 
     gen = ClickGen.for_program(stats, seed=seed, index=index)
     element = gen.element(f"{prefix}_{index}")
@@ -174,7 +174,7 @@ def _scaleout_program_job(args: Tuple[Any, ...]) -> List[Any]:
     for spec in specs:
         spec_small = replace(spec, n_packets=trace_packets)
         interp = Interpreter(prepared.module, seed=seed)
-        profile = interp.run_trace(generate_trace(spec_small, seed=seed))
+        profile = interp.run_trace(iter_trace(spec_small, seed=seed))
         workload = characterize(spec_small, nic.hierarchy)
         features = scaleout_features(
             prepared, block_compute, profile, workload, nic

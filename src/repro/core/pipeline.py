@@ -67,7 +67,7 @@ from repro.nic.machine import NICModel, WorkloadCharacter
 from repro.nic.port import PortConfig
 from repro.nic.targets import TargetDescription
 from repro.obs import get_logger, get_metrics, span
-from repro.workload import characterize, generate_trace
+from repro.workload import characterize, iter_trace
 from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -431,7 +431,9 @@ class Clara:
         state: Optional[Mapping[str, object]] = None,
         trace_seed: int = 0,
     ) -> ExecutionProfile:
-        """Run the NF on the host against the workload (Section 4.3)."""
+        """Run the NF on the host against the workload (Section 4.3).
+        The trace is streamed into the interpreter (``iter_trace``), so
+        it is never held whole."""
         with span("profile_on_host", nf=prepared.name,
                   workload=spec.name) as sp:
             interp = Interpreter(prepared.module, seed=trace_seed)
@@ -439,7 +441,7 @@ class Clara:
                 install_state(interp, initial_state(prepared.element))
             if state:
                 install_state(interp, state)
-            profile = interp.run_trace(generate_trace(spec, seed=trace_seed))
+            profile = interp.run_trace(iter_trace(spec, seed=trace_seed))
             sp.set("packets", profile.packets)
         return profile
 

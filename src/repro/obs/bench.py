@@ -128,7 +128,7 @@ class BenchContext:
                 install_state,
             )
             from repro.click.interp import Interpreter
-            from repro.workload import characterize, generate_trace
+            from repro.workload import characterize, iter_trace
             from repro.workload.spec import WorkloadSpec
 
             spec = WorkloadSpec(
@@ -136,7 +136,7 @@ class BenchContext:
             )
             interp = Interpreter(self.prepared(name).module, seed=self.seed)
             install_state(interp, initial_state(build_element(name)))
-            profile = interp.run_trace(generate_trace(spec, seed=self.seed))
+            profile = interp.run_trace(iter_trace(spec, seed=self.seed))
             return profile, characterize(spec, self.nic.hierarchy)
         return self.memo(f"profile:{name}:{n_packets}", build)
 
@@ -302,7 +302,7 @@ def _case_host_interp(ctx: BenchContext) -> Callable[[], Any]:
         install_state,
     )
     from repro.click.interp import Interpreter, precompile
-    from repro.workload import generate_trace
+    from repro.workload import iter_trace
     from repro.workload.spec import SMALL_FLOWS
 
     spec = replace(SMALL_FLOWS, n_packets=2000)
@@ -315,14 +315,14 @@ def _case_host_interp(ctx: BenchContext) -> Callable[[], Any]:
         precompile(module)
 
     def run():
-        # What Clara.profile_on_host does per NF.  The interpreter
-        # rewrites packets, so every run draws a fresh trace.
+        # What Clara.profile_on_host does per NF: stream a fresh trace
+        # (the interpreter rewrites packets) into the interpreter.
         profiles = []
         for module, state in nfs:
             interp = Interpreter(module, seed=ctx.seed)
             install_state(interp, state)
             profiles.append(
-                interp.run_trace(generate_trace(spec, seed=ctx.seed))
+                interp.run_trace(iter_trace(spec, seed=ctx.seed))
             )
         return profiles
     return run

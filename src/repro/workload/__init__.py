@@ -4,7 +4,9 @@ A :class:`WorkloadSpec` describes traffic the way the paper's
 methodology does ("a workload specification includes packet sizes, the
 number of flows, and the IP address distribution", Section 5.1); the
 generator turns it into a seeded synthetic trace of
-:class:`~repro.click.packet.Packet` objects, and the character module
+:class:`~repro.click.packet.Packet` objects (streamed one packet at a
+time by ``iter_trace``, or as a list by ``generate_trace``), and the
+character module
 derives the cache-behaviour summary the NIC performance model needs.
 """
 
@@ -14,7 +16,7 @@ from repro.workload.spec import (
     SMALL_FLOWS,
     STANDARD_WORKLOADS,
 )
-from repro.workload.trace import generate_trace
+from repro.workload.trace import generate_trace, iter_trace
 from repro.workload.character import characterize
 
 __all__ = [
@@ -23,5 +25,6 @@ __all__ = [
     "SMALL_FLOWS",
     "STANDARD_WORKLOADS",
     "generate_trace",
+    "iter_trace",
     "characterize",
 ]

@@ -43,6 +43,8 @@ class WorkloadSpec:
             raise InvalidWorkloadError("udp_fraction out of range")
         if self.packet_bytes < 64:
             raise InvalidWorkloadError("packet_bytes must be >= 64")
+        if self.payload_bytes < 0:
+            raise InvalidWorkloadError("payload_bytes must be >= 0")
         if self.n_packets < 1:
             raise InvalidWorkloadError("n_packets must be >= 1")
 

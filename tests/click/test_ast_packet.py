@@ -99,13 +99,6 @@ class TestPacket:
         assert FIELD_TO_HEADER["th_sport"] == "tcp"
         assert FIELD_TO_HEADER["uh_sport"] == "udp"
 
-    def test_header_lookup(self):
-        p = Packet(ip={}, udp={})
-        assert p.header("udp") is p.udp
-        assert p.header("tcp") is None
-        with pytest.raises(KeyError):
-            p.header("payload")  # an attribute, but not a header
-
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_flow_key_deterministic(self, addr):
         p1 = Packet(ip={"src_addr": addr}, tcp={})

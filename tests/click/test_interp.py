@@ -7,8 +7,11 @@ import re
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.click import ast as C
 from repro.click.elements import build_element, initial_state, install_state
@@ -33,13 +36,14 @@ from repro.click.elements._dsl import (
 from repro.click.frontend import lower_element
 from repro.click import interp as interp_module
 from repro.click.interp import InterpError, Interpreter
-from repro.click.packet import PACKET_TYPE, Packet
+from repro.click.packet import IP_FIELDS, IP_HEADER, PACKET_TYPE, TCP_FIELDS, Packet
 from repro.nfir.builder import IRBuilder
 from repro.nfir.block import BasicBlock
 from repro.nfir.function import Function, GlobalVariable, Module
 from repro.nfir.instructions import CALL_KIND_API, Instruction
-from repro.nfir.types import I1, I32, VOID, PointerType, StructType
+from repro.nfir.types import I1, I8, I32, VOID, PointerType, StructType
 from repro.nfir.values import Argument, Constant
+from repro.workload import LARGE_FLOWS, SMALL_FLOWS, iter_trace
 
 
 def make_interp(handler, state=(), structs=(), seed=0):
@@ -143,6 +147,84 @@ class TestPacketApis:
         a.run_packet(Packet(ip={}, tcp={}))
         b.run_packet(Packet(ip={}, tcp={}))
         assert a.global_value("r") == b.global_value("r")
+
+    def test_random_u32_batches_give_the_values_of_single_draws(self):
+        # Batching relies on numpy drawing the same values for this
+        # range in one call as in one call per value.
+        handler = [
+            assign(v("r"), fcall("random_u32")),
+            pkt("send", 0).as_stmt(),
+        ]
+        interp = make_interp(handler, [scalar_state("r", "u32")], seed=11)
+        values = []
+        for _ in range(1000):
+            interp.run_packet(Packet(ip={}, tcp={}))
+            values.append(interp.global_value("r"))
+        rng = np.random.default_rng(11)
+        expected = [
+            int(rng.integers(0, 2**32, dtype=np.uint64)) for _ in range(1000)
+        ]
+        assert 1000 > interp_module._RANDOM_BATCH
+        assert values == expected
+
+
+def _ones_complement(words):
+    """RFC 1071: the complement of the one's-complement sum of the
+    16-bit chunks of ``words``, carries added back one at a time."""
+    total = 0
+    for word in words:
+        while word:
+            total += word & 0xFFFF
+            word >>= 16
+            if total > 0xFFFF:
+                total = (total & 0xFFFF) + 1
+    return ~total & 0xFFFF
+
+
+def _field_values(layout):
+    return st.fixed_dictionaries({
+        name: st.integers(0, (1 << bits) - 1) for name, bits in layout
+    })
+
+
+def _maxima(layout):
+    return {name: (1 << bits) - 1 for name, bits in layout}
+
+
+class TestChecksums:
+    @settings(max_examples=200, deadline=None)
+    @given(ip=_field_values(IP_FIELDS))
+    @example(ip=_maxima(IP_FIELDS))
+    @example(ip={name: 0 for name, _ in IP_FIELDS})
+    def test_ip_checksum_is_the_ones_complement_sum(self, ip):
+        packet = Packet.complete({}, dict(ip), None, None, b"", 0, 0)
+        interp_module._checksum_ip(packet)
+        src, dst = ip["src_addr"], ip["dst_addr"]
+        assert packet.ip["ip_sum"] == _ones_complement([
+            (ip["ip_v"] << 12) | (ip["ip_hl"] << 8) | ip["ip_tos"],
+            ip["ip_len"], ip["ip_id"], ip["ip_off"],
+            (ip["ip_ttl"] << 8) | ip["ip_p"],
+            src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF,
+        ])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ip=_field_values(IP_FIELDS), tcp=_field_values(TCP_FIELDS))
+    @example(ip=_maxima(IP_FIELDS), tcp=_maxima(TCP_FIELDS))
+    def test_tcp_checksum_is_the_ones_complement_sum(self, ip, tcp):
+        packet = Packet.complete({}, dict(ip), dict(tcp), None, b"", 0, 0)
+        interp_module._checksum_tcp(packet)
+        seq, ack = tcp["th_seq"], tcp["th_ack"]
+        src, dst = ip["src_addr"], ip["dst_addr"]
+        assert packet.tcp["th_sum"] == _ones_complement([
+            tcp["th_sport"], tcp["th_dport"],
+            seq >> 16, seq & 0xFFFF, ack >> 16, ack & 0xFFFF,
+            src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF,
+        ])
+
+    def test_tcp_checksum_skips_a_packet_without_tcp(self):
+        packet = Packet(ip={}, udp={})
+        interp_module._checksum_tcp(packet)
+        assert packet.tcp is None
 
 
 class TestStatefulApis:
@@ -538,6 +620,92 @@ class TestLifetime:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+def _counting_packet_store(monkeypatch):
+    """The number of ``PacketStore`` reads and writes from now on."""
+    calls = [0]
+    store = interp_module.PacketStore
+    real_read, real_write = store.read, store.write
+
+    def read(self, path):
+        calls[0] += 1
+        return real_read(self, path)
+
+    def write(self, path, value):
+        calls[0] += 1
+        real_write(self, path, value)
+
+    monkeypatch.setattr(store, "read", read)
+    monkeypatch.setattr(store, "write", write)
+    return calls
+
+
+class TestHeaderFields:
+    """Loads and stores through a slot that only ever holds one
+    ``*_header`` API's result index the packet's header directly."""
+
+    @pytest.mark.parametrize("name", ["firewall", "aggcounter", "webgen"])
+    def test_library_header_slots_skip_the_packet_store(self, name, monkeypatch):
+        calls = _counting_packet_store(monkeypatch)
+        element = build_element(name)
+        interp = Interpreter(lower_element(element), seed=1)
+        install_state(interp, initial_state(element))
+        for shape in (SMALL_FLOWS, replace(LARGE_FLOWS, udp_fraction=0.5)):
+            interp.run_trace(iter_trace(replace(shape, n_packets=300), seed=1))
+        assert interp.profile.packets == 600
+        assert calls[0] == 0
+
+    def test_a_slot_also_written_otherwise_keeps_the_store_path(self, monkeypatch):
+        # The slot also takes a null store, so loads and stores through
+        # it go through the packet store as before.
+        calls = _counting_packet_store(monkeypatch)
+        ip_ptr = PointerType(IP_HEADER)
+
+        def build(module, fn, b):
+            clear = fn.add_block("clear")
+            use = fn.add_block("use")
+            slot = b.alloca(ip_ptr)
+            b.store(b.call("ip_header", [fn.args[0]], ip_ptr, CALL_KIND_API), slot)
+            port = b.call("in_port", [fn.args[0]], I32, CALL_KIND_API)
+            b.cond_br(b.icmp("eq", port, Constant(I32, 1)), clear, use)
+            b.position_at_end(clear)
+            b.store(Constant(ip_ptr, 0), slot)
+            b.br(use)
+            b.position_at_end(use)
+            header = b.load(slot)
+            ttl = b.load(b.gep(header, ["ip_ttl"]))
+            b.store(b.sub(ttl, Constant(I8, 1)), b.gep(header, ["ip_ttl"]))
+            b.ret()
+
+        interp = Interpreter(_handler_module(build))
+        p = interp.run_packet(Packet(ip={"ip_ttl": 64}, tcp={}))
+        assert p.ip["ip_ttl"] == 63
+        assert calls[0] == 2
+        with pytest.raises(InterpError, match="load through bad pointer in use"):
+            interp.run_packet(Packet(ip={}, tcp={}, in_port=1))
+
+    @pytest.mark.parametrize("statement,message", [
+        (assign(v("out"), fld(v("tcp"), "th_sport")),
+         "load through bad pointer in entry"),
+        (assign(fld(v("tcp"), "th_flags"), lit(2)),
+         "store through bad pointer in entry"),
+    ])
+    def test_tcp_field_of_a_udp_packet(self, statement, message, monkeypatch):
+        # The parent's messages, raised by the direct path.
+        calls = _counting_packet_store(monkeypatch)
+        interp = make_interp(
+            [
+                decl("tcp", "tcp_hdr*", pkt("tcp_header")),
+                statement,
+                pkt("send", 0).as_stmt(),
+            ],
+            state=[scalar_state("out", "u32")],
+        )
+        with pytest.raises(InterpError) as info:
+            interp.run_packet(Packet(ip={}, udp={}))
+        assert str(info.value) == message
+        assert calls[0] == 0
 
 
 def _counting_generation(monkeypatch):

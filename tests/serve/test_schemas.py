@@ -57,6 +57,7 @@ BAD_WORKLOAD_FIELDS = [
     ("n_flows", "10"),
     ("payload_bytes", 9_001),
     ("payload_bytes", 64.0),
+    ("payload_bytes", -40),
     ("packet_bytes", False),
     ("zipf_alpha", "1.1"),
     ("zipf_alpha", True),

@@ -477,6 +477,19 @@ class TestErrorMapping:
         assert status == 400
         assert body_json(body)["error"]["type"] == "InvalidWorkloadError"
 
+    def test_negative_payload_is_400(self, server):
+        # Was analyzed as UDP packets with an empty payload and a
+        # uh_ulen of -32.
+        status, _headers, body = http(server, "/v1/analyze", payload={
+            "element": "udpcount",
+            "workload": {"payload_bytes": -40, "udp_fraction": 1.0},
+        })
+        assert status == 400
+        env = body_json(body)
+        assert env["result"] is None
+        assert env["error"]["type"] == "InvalidWorkloadError"
+        assert "payload_bytes" in env["error"]["message"]
+
     def test_bad_wire_values_are_typed_400s(self, server):
         # Each of these was a 500 (or unbounded work) before the schema
         # checked JSON types and per-field ceilings.
