@@ -39,8 +39,6 @@ when the one before is done, so a streamed trace is never held whole.
 A slot local whose every store writes one ``*_header`` API's result
 holds NULL or the current packet's header, so a field load or store
 through it checks for NULL and then indexes the header dict itself.
-``random_u32`` takes its values from batches drawn from the
-interpreter's generator, which numpy makes equal to one draw per call.
 
 The cache relies on one rule: **a function is not mutated after its
 first run** (or its :func:`precompile`).  Only the inliner and
@@ -62,7 +60,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -316,9 +313,6 @@ _HEADER_APIS = {
     "tcp_header": "tcp",
     "udp_header": "udp",
 }
-
-#: ``random_u32`` values drawn from an interpreter's generator at once.
-_RANDOM_BATCH = 256
 
 #: deepest ``if`` nesting used for inlined blocks; a block past it is
 #: dispatched to instead (CPython allows 100 indentation levels).
@@ -1169,7 +1163,7 @@ class _Codegen:
             update = "_checksum_ip" if name == "checksum_update_ip" else "_checksum_tcp"
             return self._touch(instr.args[0]) + [f"{update}(pkt)"], None
         if name == "random_u32":
-            return [], "I._random_u32()"
+            return [], "int(I.rng.integers(0, 4294967296, dtype=_uint64))"
 
         # Stateful data-structure APIs.  The receiver global is the
         # first argument.
@@ -1320,8 +1314,6 @@ class Interpreter:
                 self.globals[name] = TreeStore(zero_value(g.value_type))
         #: Function -> its compiled code bound to this interpreter.
         self._runners: Dict[Function, Callable] = {}
-        #: the rest of the current batch of ``random_u32`` values.
-        self._randoms: Iterator[int] = iter(())
         # Bound code reaches the interpreter only through this weak
         # proxy, so an interpreter nobody holds is freed at once rather
         # than left to the cycle collector.
@@ -1378,19 +1370,6 @@ class Interpreter:
         """Run one packet (see :meth:`run_trace`) and return it."""
         self.run_trace((packet,))
         return packet
-
-    def _random_u32(self) -> int:
-        """The next value of the ``random_u32`` API.  Values are drawn
-        from the interpreter's generator in batches; numpy gives the
-        same values for this range whether they are drawn in one call
-        or one per call."""
-        try:
-            return next(self._randoms)
-        except StopIteration:
-            self._randoms = iter(self.rng.integers(
-                0, 1 << 32, size=_RANDOM_BATCH, dtype=np.uint64
-            ).tolist())
-            return next(self._randoms)
 
     def _bound(self, function: Function) -> Callable:
         """``function``'s compiled code bound to this interpreter's
@@ -1451,6 +1430,7 @@ _NAMESPACE: Dict[str, object] = {
     "HostVector": HostVector,
     "NULL": NULL,
     "_UNSET": _UNSET,
+    "_uint64": np.uint64,
     "_zero_value": zero_value,
     "_same_pointer": _same_pointer,
     "_read_struct": _read_struct,

@@ -100,30 +100,6 @@ def _templates(spec: WorkloadSpec) -> Tuple[Dict[str, int], ...]:
     return tcp.eth, tcp.ip, tcp.tcp, udp.ip, udp.udp  # type: ignore[return-value]
 
 
-def _packet_fields(
-    flows: np.ndarray, syn: np.ndarray, udp: np.ndarray
-) -> Iterator[Tuple[int, ...]]:
-    """Per packet ``i`` of flow ``flows[i]``, as Python ints: whether it
-    is UDP, ``src_addr``, ``dst_addr``, ``ip_id``, source and
-    destination port, ``th_seq``, ``th_flags``, ``in_port`` and
-    ``timestamp_ns``, each computed over the whole trace at once."""
-    index = np.arange(len(flows), dtype=np.int64)
-    return zip(
-        udp.tolist(),
-        (0x0A000000 | (flows & 0xFFFFFF)).tolist(),
-        # (fid * 2654435761) & 0xFFFF, reduced first so that no flow id
-        # overflows int64.
-        (0xC0A80000 | (((flows & 0xFFFF) * 2654435761) & 0xFFFF)).tolist(),
-        (index & 0xFFFF).tolist(),
-        (1024 + flows % 50000).tolist(),
-        np.where(flows % 4 != 0, 80, 53).tolist(),
-        ((index * 331) & 0xFFFFFFFF).tolist(),
-        np.where(syn, 0x02, 0x10).tolist(),
-        (flows % 2).tolist(),
-        (index * 1000).tolist(),
-    )
-
-
 def iter_trace(spec: WorkloadSpec, seed: int = 0) -> Iterator[Packet]:
     """Yield the packets of a deterministic trace for a workload spec,
     one at a time, so a consumer that runs each packet and lets it go
@@ -132,55 +108,48 @@ def iter_trace(spec: WorkloadSpec, seed: int = 0) -> Iterator[Packet]:
     Flow endpoints are synthesized from the flow index; flow selection
     per packet follows the Zipf popularity of the spec.  Timestamps
     advance ~1us per packet so time-window NFs see realistic gaps.
-
-    Every random draw happens before the first packet, in one order:
-    the flow of each packet, a SYN draw and a UDP draw per packet, then
-    the payload bytes.  The per-packet fields are then computed over
-    whole arrays and converted to Python ints, and each packet's headers
-    are copies of the trace's templates (see :func:`_templates`) with
-    those fields set, so no packet runs the defaulting of
+    Every random draw happens before the first packet is yielded.
+    Each packet's headers are copies of the trace's templates (see
+    :func:`_templates`), so no packet runs the defaulting of
     ``Packet.__post_init__``.
     """
     rng = np.random.default_rng(seed)
-    n, count = spec.n_flows, spec.n_packets
+    n = spec.n_flows
     weights = _zipf_weights(n, spec.zipf_alpha)
-    flows = rng.choice(n, size=count, p=weights)
-    syn = rng.random(count) < spec.syn_fraction
-    udp = rng.random(count) < spec.udp_fraction
+    flow_ids = rng.choice(n, size=spec.n_packets, p=weights).tolist()
+    syn_draws = rng.random(spec.n_packets).tolist()
+    udp_draws = rng.random(spec.n_packets).tolist()
     payload_rng = rng.integers(0, 256, size=max(spec.payload_bytes, 1), dtype=np.uint8)
     payload = bytes(payload_rng.tolist())[: spec.payload_bytes]
+    eth, tcp_ip, tcp, udp_ip, udp = _templates(spec)
+    syn_fraction, udp_fraction = spec.syn_fraction, spec.udp_fraction
 
-    fields = _packet_fields(flows, syn, udp)
-    # Released only now: freeing the weights straight after ``choice``
-    # made 200 000-flow requests ~10% slower in the serving daemon
-    # (paired daemons, same requests), though no stage got slower in
-    # process.
-    del weights
-    eth, tcp_ip, tcp, udp_ip, udp_l4 = _templates(spec)
-    for is_udp, src, dst, ip_id, sport, dport, seq, flags, port, ts in fields:
+    for i, fid in enumerate(flow_ids):
+        is_udp = udp_draws[i] < udp_fraction
+        ip = (udp_ip if is_udp else tcp_ip).copy()
+        ip["src_addr"] = (0x0A000000 | (fid & 0xFFFFFF)) & 0xFFFFFFFF
+        ip["dst_addr"] = (0xC0A80000 | ((fid * 2654435761) & 0xFFFF)) & 0xFFFFFFFF
+        ip["ip_id"] = i & 0xFFFF
+        sport = 1024 + (fid % 50000)
+        dport = 80 if fid % 4 else 53
         if is_udp:
-            ip = udp_ip.copy()
-            l4 = udp_l4.copy()
+            l4 = udp.copy()
             l4["uh_sport"] = sport
             l4["uh_dport"] = dport
         else:
-            ip = tcp_ip.copy()
             l4 = tcp.copy()
             l4["th_sport"] = sport
             l4["th_dport"] = dport
-            l4["th_seq"] = seq
-            l4["th_flags"] = flags
-        ip["src_addr"] = src
-        ip["dst_addr"] = dst
-        ip["ip_id"] = ip_id
+            l4["th_seq"] = (i * 331) & 0xFFFFFFFF
+            l4["th_flags"] = 0x02 if syn_draws[i] < syn_fraction else 0x10
         yield Packet.complete(
             eth.copy(),
             ip,
             None if is_udp else l4,
             l4 if is_udp else None,
             payload,
-            port,
-            ts,
+            fid % 2,
+            i * 1000,
         )
 
 

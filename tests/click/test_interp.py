@@ -9,7 +9,6 @@ import threading
 import weakref
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -147,25 +146,6 @@ class TestPacketApis:
         a.run_packet(Packet(ip={}, tcp={}))
         b.run_packet(Packet(ip={}, tcp={}))
         assert a.global_value("r") == b.global_value("r")
-
-    def test_random_u32_batches_give_the_values_of_single_draws(self):
-        # Batching relies on numpy drawing the same values for this
-        # range in one call as in one call per value.
-        handler = [
-            assign(v("r"), fcall("random_u32")),
-            pkt("send", 0).as_stmt(),
-        ]
-        interp = make_interp(handler, [scalar_state("r", "u32")], seed=11)
-        values = []
-        for _ in range(1000):
-            interp.run_packet(Packet(ip={}, tcp={}))
-            values.append(interp.global_value("r"))
-        rng = np.random.default_rng(11)
-        expected = [
-            int(rng.integers(0, 2**32, dtype=np.uint64)) for _ in range(1000)
-        ]
-        assert 1000 > interp_module._RANDOM_BATCH
-        assert values == expected
 
 
 def _ones_complement(words):

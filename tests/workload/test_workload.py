@@ -1,6 +1,5 @@
 """Workload spec, trace generation, and cache-character tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +13,6 @@ from repro.workload import (
 from repro.errors import InvalidWorkloadError
 from repro.nic.targets import get_target
 from repro.workload.character import zipf_hit_rate
-from repro.workload.trace import _packet_fields
 from repro.workload.spec import WorkloadSpec
 
 NFP_HIERARCHY = get_target("nfp-4000").hierarchy()
@@ -97,38 +95,6 @@ class TestTrace:
         streamed = iter_trace(spec, seed=3)
         assert not isinstance(streamed, list)
         assert list(streamed) == generate_trace(spec, seed=3)
-
-    def test_vectorized_fields_match_the_scalar_formulas(self):
-        # Every flow id up to the wire ceiling of n_flows (1 000 000),
-        # where fid * 2654435761 is largest; as Python ints.
-        rng = np.random.default_rng(0)
-        flows = np.concatenate([
-            np.arange(70_000, dtype=np.int64),
-            np.arange(1_000_000 - 70_000, 1_000_000, dtype=np.int64),
-            rng.integers(0, 1_000_000, size=60_000),
-        ])
-        syn = rng.random(len(flows)) < 0.3
-        udp = rng.random(len(flows)) < 0.5
-        fields = list(_packet_fields(flows, syn, udp))
-        assert len(fields) == len(flows)
-        for i, (fid, is_syn, is_udp) in enumerate(
-            zip(flows.tolist(), syn.tolist(), udp.tolist())
-        ):
-            expected = (
-                is_udp,
-                (0x0A000000 | (fid & 0xFFFFFF)) & 0xFFFFFFFF,
-                (0xC0A80000 | ((fid * 2654435761) & 0xFFFF)) & 0xFFFFFFFF,
-                i & 0xFFFF,
-                1024 + (fid % 50000),
-                80 if fid % 4 else 53,
-                (i * 331) & 0xFFFFFFFF,
-                0x02 if is_syn else 0x10,
-                fid % 2,
-                i * 1000,
-            )
-            assert fields[i] == expected
-            assert all(type(x) is (bool if k == 0 else int)
-                       for k, x in enumerate(fields[i]))
 
 
 class TestCharacter:
